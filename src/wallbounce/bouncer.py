@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .packets import PacketParams, autocorrelation_free, psi_free
+from .packets import _SQRT_PI, PacketParams, autocorrelation_free, psi_free
 
 __all__ = [
     "ApproximationWindowWarning",
@@ -47,9 +47,6 @@ __all__ = [
     "collision_force_scale",
     "autocorrelation_bouncer",
 ]
-
-_SQRT_PI = math.sqrt(math.pi)
-
 
 class DegenerateMirrorError(ValueError):
     """The packet sits exactly at the wall with zero momentum.
@@ -143,7 +140,7 @@ def psi_bouncer(bp: BouncerParams, x, t: float):
     x = np.asarray(x, dtype=float)
     diff = psi_free(bp.base, x, t) - psi_free(bp.base, -x, t)
     out = np.where(x < 0.0, n * np.asarray(diff), 0.0 + 0.0j)
-    return out[()] if out.ndim == 0 else out
+    return out[()]
 
 
 def position_second_moment(bp: BouncerParams, t: float) -> float:
@@ -261,12 +258,8 @@ def autocorrelation_bouncer(bp: BouncerParams, t: float) -> complex:
     modulus decreases monotonically, with no visible signature of the
     collision itself.
     """
+    mirror_normalization(bp.base)  # raises DegenerateMirrorError at distance 0
     z = bp.phase_space_distance
-    if z == 0.0:
-        raise DegenerateMirrorError(
-            "degenerate mirror solution (x0 = p0 = 0); "
-            "use the wall packet from wallbounce.special instead"
-        )
     u = 1.0 + 0.5j * t / bp.base.t0
     factor = _one_minus_exp(z / u) / _one_minus_exp(z)
     return complex(autocorrelation_free(bp.base, t) * factor)

@@ -9,8 +9,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from .oracle import (
 )
 from .packets import PacketParams, autocorrelation_free, free_moments, psi_free
 from .special import (
-    SpecialParams,
     node_packet_moments,
     psi_node_packet,
     psi_wall_packet,
@@ -46,11 +48,64 @@ from .special import (
 from .validation import CRITERION_IDS, run_all
 
 SCHEMA_VERSION = 1
-KINDS = ("free", "free-node", "bouncer", "wall")
 _CONFIG_KEYS = {
     "kind", "x0", "p0", "alpha", "hbar", "mass",
     "tmin", "tmax", "nt", "xmin", "nx", "format", "out",
 }
+
+
+class _Kind(NamedTuple):
+    """What the commands use of one solution family.
+
+    Each function takes the run's PacketParams first.  The entries below
+    call library functions by their names in this module at call time, so
+    rebinding a name here (as a tracer does) reaches every kind.
+    """
+
+    psi: Callable  # (params, x, t) -> psi(x, t)
+    exact: Callable  # (params, t) -> (<x^2>, <p^2>, classical <x>, near-wall <x> or None)
+    half_line: bool
+    autocorr: Callable | None  # (params, t) -> A(t), or None without a closed form
+
+
+def _from_moments(m, classical):
+    return m.x2_mean, m.p2_mean, classical, None
+
+
+def _bouncer_exact(params: PacketParams, t: float):
+    bp = BouncerParams(params)
+    approx = x_mean_near_collision(bp, t) if in_expansion_window(bp, t) else None
+    return position_second_moment(bp, t), momentum_second_moment(bp), -abs(params.center(t)), approx
+
+
+_KINDS = {
+    "free": _Kind(
+        lambda p, x, t: psi_free(p, x, t),
+        lambda p, t: _from_moments(free_moments(p, t), p.center(t)),
+        False,
+        lambda p, t: autocorrelation_free(p, t),
+    ),
+    "free-node": _Kind(
+        lambda p, x, t: psi_node_packet(p, x, t),
+        lambda p, t: _from_moments(node_packet_moments(p, t), p.center(t)),
+        False,
+        None,
+    ),
+    "bouncer": _Kind(
+        lambda p, x, t: psi_bouncer(BouncerParams(p), x, t),
+        _bouncer_exact,
+        True,
+        lambda p, t: autocorrelation_bouncer(BouncerParams(p), t),
+    ),
+    # the wall packet sits at the origin, so its classical <x> is the wall
+    "wall": _Kind(
+        lambda p, x, t: psi_wall_packet(p, x, t),
+        lambda p, t: _from_moments(wall_packet_moments(p, t), 0.0),
+        True,
+        None,
+    ),
+}
+KINDS = tuple(_KINDS)
 
 
 class CliError(Exception):
@@ -61,11 +116,7 @@ class CliError(Exception):
 class RunConfig:
     command: str
     kind: str
-    x0: float
-    p0: float
-    alpha: float
-    hbar: float
-    mass: float
+    params: PacketParams
     tmin: float
     tmax: float
     nt: int
@@ -140,6 +191,8 @@ def _resolve(args) -> RunConfig:
     tmin = pick("tmin", float, 0.0)
     tmax = pick("tmax", float, default_tmax)
     nt = pick("nt", int, 9 if args.command == "density" else 33)
+    if not (math.isfinite(tmin) and math.isfinite(tmax)):
+        raise CliError(f"tmin and tmax must be finite, got tmin = {tmin}, tmax = {tmax}")
     if tmin > tmax:
         raise CliError(f"tmin = {tmin} must be <= tmax = {tmax}")
     if nt < 1:
@@ -159,28 +212,13 @@ def _resolve(args) -> RunConfig:
         if unknown:
             raise CliError(f"unknown criteria: {', '.join(sorted(unknown))}")
     return RunConfig(
-        command=args.command, kind=kind, x0=x0, p0=p0, alpha=alpha, hbar=hbar,
-        mass=mass, tmin=tmin, tmax=tmax, nt=nt, xmin=xmin, nx=nx,
-        format=fmt, out=out, criteria=criteria,
+        command=args.command, kind=kind, params=params, tmin=tmin, tmax=tmax, nt=nt,
+        xmin=xmin, nx=nx, format=fmt, out=out, criteria=criteria,
     )
 
 
-def _params(cfg: RunConfig) -> PacketParams:
-    return PacketParams(x0=cfg.x0, p0=cfg.p0, alpha=cfg.alpha, hbar=cfg.hbar, mass=cfg.mass)
-
-
 def _wavefunction(cfg: RunConfig):
-    params = _params(cfg)
-    if cfg.kind == "free":
-        return lambda x, t: psi_free(params, x, t)
-    if cfg.kind == "free-node":
-        sp = SpecialParams(beta=params.beta, hbar=cfg.hbar, mass=cfg.mass, x0=cfg.x0, p0=cfg.p0)
-        return lambda x, t: psi_node_packet(sp, x, t)
-    if cfg.kind == "bouncer":
-        bp = BouncerParams(params)
-        return lambda x, t: psi_bouncer(bp, x, t)
-    sp = SpecialParams(beta=params.beta, hbar=cfg.hbar, mass=cfg.mass)
-    return lambda x, t: psi_wall_packet(sp, x, t)
+    return partial(_KINDS[cfg.kind].psi, cfg.params)
 
 
 def _grid(
@@ -189,42 +227,41 @@ def _grid(
     t_hi: float | None = None,
     points_per_beta: float | None = None,
 ) -> GridSpec:
-    params = _params(cfg)
     if t_lo is None:
         t_lo = cfg.tmin
     if t_hi is None:
         t_hi = cfg.tmax
-    t_edge = max(abs(t_lo), abs(t_hi))
+    half_line = _KINDS[cfg.kind].half_line
     try:
-        if cfg.kind in ("bouncer", "wall"):
-            if cfg.xmin is not None:
-                return GridSpec(cfg.xmin, cfg.nx, 0.0)
-            return half_line_grid(params, t_edge, points_per_beta=points_per_beta)
         if cfg.xmin is not None:
-            return GridSpec(cfg.xmin, cfg.nx, -cfg.xmin)
-        return full_line_grid(params, t_lo, t_hi, points_per_beta=points_per_beta)
+            return GridSpec(cfg.xmin, cfg.nx, 0.0 if half_line else -cfg.xmin)
+        if half_line:
+            t_edge = max(abs(t_lo), abs(t_hi))
+            return half_line_grid(cfg.params, t_edge, points_per_beta=points_per_beta)
+        return full_line_grid(cfg.params, t_lo, t_hi, points_per_beta=points_per_beta)
     except ValueError as exc:
         raise CliError(f"invalid grid: {exc}") from exc
 
 
-def _times(cfg: RunConfig) -> np.ndarray:
-    return np.linspace(cfg.tmin, cfg.tmax, cfg.nt)
+def _times(cfg: RunConfig) -> list[float]:
+    return np.linspace(cfg.tmin, cfg.tmax, cfg.nt).tolist()
 
 
 def _metadata(cfg: RunConfig, grid: GridSpec | None) -> dict:
-    natural = cfg.hbar == 1.0 and cfg.mass == 1.0
+    p = cfg.params
+    natural = p.hbar == 1.0 and p.mass == 1.0
     meta = {
         "schema_version": SCHEMA_VERSION,
         "command": cfg.command,
         "params": {
-            "kind": cfg.kind, "x0": cfg.x0, "p0": cfg.p0, "alpha": cfg.alpha,
-            "hbar": cfg.hbar, "mass": cfg.mass,
+            "kind": cfg.kind, "x0": p.x0, "p0": p.p0, "alpha": p.alpha,
+            "hbar": p.hbar, "mass": p.mass,
             "tmin": cfg.tmin, "tmax": cfg.tmax, "nt": cfg.nt,
         },
         "units": {
             "system": "natural (hbar = mass = 1)" if natural else "custom",
-            "hbar": cfg.hbar,
-            "mass": cfg.mass,
+            "hbar": p.hbar,
+            "mass": p.mass,
             "columns": {"t": "time", "x": "length", "density": "1/length"},
         },
     }
@@ -243,12 +280,14 @@ def _fmt_value(value):
     return str(value)
 
 
-def _write(cfg: RunConfig, columns: list[str], records: list[dict], meta: dict, stream):
+def _write(cfg: RunConfig, columns: dict, meta: dict, stream):
+    """Write equal-length columns ({name: values}, in output order) as CSV or JSON."""
     if cfg.format == "json":
+        names = tuple(columns)
         payload = {
             "schema_version": SCHEMA_VERSION,
             "metadata": meta,
-            "records": records,
+            "records": [dict(zip(names, row)) for row in zip(*columns.values())],
         }
         stream.write(json.dumps(payload, indent=2))
         stream.write("\n")
@@ -262,48 +301,7 @@ def _write(cfg: RunConfig, columns: list[str], records: list[dict], meta: dict, 
     stream.write(f"# units: {meta['units']['system']}\r\n")
     writer = csv.writer(stream, lineterminator="\r\n")
     writer.writerow(columns)
-    for record in records:
-        writer.writerow([_fmt_value(record[c]) for c in columns])
-
-
-def dump_state(state, stream, fmt: str = "csv") -> None:
-    """Dump a GridState in the same file schema the data commands emit.
-
-    Records carry (t, x, re, im, density) per grid point, wrapped in the
-    usual metadata/schema_version envelope.
-    """
-    if fmt not in ("csv", "json"):
-        raise CliError(f"unknown format {fmt!r}; choose csv or json")
-    xs = state.grid.points()
-    records = [
-        {
-            "t": float(state.time),
-            "x": float(x),
-            "re": float(v.real),
-            "im": float(v.imag),
-            "density": float(abs(v) ** 2),
-        }
-        for x, v in zip(xs, state.values)
-    ]
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "dump_state",
-        "params": {"time": float(state.time)},
-        "units": {
-            "system": "as sampled",
-            "columns": {"t": "time", "x": "length", "density": "1/length"},
-        },
-        "grid": {
-            "x_min": state.grid.x_min,
-            "x_max": state.grid.x_max,
-            "n_points": state.grid.n_points,
-        },
-    }
-    shim = RunConfig(
-        command="dump_state", kind="free", x0=0.0, p0=0.0, alpha=1.0, hbar=1.0,
-        mass=1.0, tmin=0.0, tmax=0.0, nt=1, xmin=None, nx=None, format=fmt, out="-",
-    )
-    _write(shim, ["t", "x", "re", "im", "density"], records, meta, stream)
+    writer.writerows(zip(*(map(_fmt_value, values) for values in columns.values())))
 
 
 def cmd_density(cfg: RunConfig, stream) -> int:
@@ -312,99 +310,62 @@ def cmd_density(cfg: RunConfig, stream) -> int:
     grid = _grid(cfg, points_per_beta=64.0)
     psi = _wavefunction(cfg)
     xs = grid.points()
-    records = []
+    x_values = xs.tolist()
+    columns = {"t": [], "x": [], "density": []}
     for t in _times(cfg):
-        density = np.abs(np.asarray(psi(xs, float(t)))) ** 2
-        records.extend(
-            {"t": float(t), "x": float(x), "density": float(d)} for x, d in zip(xs, density)
-        )
-    _write(cfg, ["t", "x", "density"], records, _metadata(cfg, grid), stream)
+        columns["t"] += [t] * xs.size
+        columns["x"] += x_values
+        columns["density"] += (np.abs(psi(xs, t)) ** 2).tolist()
+    _write(cfg, columns, _metadata(cfg, grid), stream)
     return 0
 
 
 def cmd_moments(cfg: RunConfig, stream) -> int:
-    params = _params(cfg)
     grid = _grid(cfg)
     psi = _wavefunction(cfg)
-    bp = BouncerParams(params) if cfg.kind == "bouncer" else None
-    sp = (
-        SpecialParams(beta=params.beta, hbar=cfg.hbar, mass=cfg.mass, x0=cfg.x0, p0=cfg.p0)
-        if cfg.kind in ("free-node", "wall")
-        else None
-    )
-    records = []
-    for t in _times(cfg):
-        t = float(t)
+    ts = _times(cfg)
+    x_num, p_num = [], []
+    for t in ts:
         state = sample(psi, grid, t)
-        x_num = moment_x(state, 1)
-        p_num = moment_p(state, 1, hbar=cfg.hbar, rtol=1e-4)
-        big_x = params.center(t)
-        if cfg.kind == "bouncer":
-            x2 = position_second_moment(bp, t)
-            p2 = momentum_second_moment(bp)
-            classical = -abs(big_x)
-            approx = x_mean_near_collision(bp, t) if in_expansion_window(bp, t) else None
-        elif cfg.kind == "free":
-            m = free_moments(params, t)
-            x2, p2, classical, approx = m.x2_mean, m.p2_mean, big_x, None
-        elif cfg.kind == "free-node":
-            m = node_packet_moments(sp, t)
-            x2, p2, classical, approx = m.x2_mean, m.p2_mean, big_x, None
-        else:
-            m = wall_packet_moments(sp, t)
-            x2, p2, classical, approx = m.x2_mean, m.p2_mean, 0.0, None
-        records.append(
-            {
-                "t": t,
-                "x_mean_numeric": x_num,
-                "x_mean_classical": classical,
-                "x_mean_near_wall_approx": approx,
-                "p_mean_numeric": p_num,
-                "x2_exact": x2,
-                "p2_exact": p2,
-            }
-        )
-    columns = [
-        "t", "x_mean_numeric", "x_mean_classical", "x_mean_near_wall_approx",
-        "p_mean_numeric", "x2_exact", "p2_exact",
-    ]
-    _write(cfg, columns, records, _metadata(cfg, grid), stream)
+        x_num.append(moment_x(state, 1))
+        p_num.append(moment_p(state, 1, hbar=cfg.params.hbar, rtol=1e-4))
+    exact = _KINDS[cfg.kind].exact
+    x2, p2, classical, approx = zip(*(exact(cfg.params, t) for t in ts))
+    columns = {
+        "t": ts,
+        "x_mean_numeric": x_num,
+        "x_mean_classical": classical,
+        "x_mean_near_wall_approx": approx,
+        "p_mean_numeric": p_num,
+        "x2_exact": x2,
+        "p2_exact": p2,
+    }
+    _write(cfg, columns, _metadata(cfg, grid), stream)
     return 0
 
 
 def cmd_autocorr(cfg: RunConfig, stream) -> int:
-    if cfg.kind not in ("free", "bouncer"):
-        raise CliError(
-            "autocorr has closed forms for kinds 'free' and 'bouncer' only"
-        )
-    params = _params(cfg)
+    closed = _KINDS[cfg.kind].autocorr
+    if closed is None:
+        with_closed = ", ".join(k for k, kind in _KINDS.items() if kind.autocorr)
+        raise CliError(f"autocorr has no closed form for kind {cfg.kind!r}; choose {with_closed}")
     # the reference state lives at t = 0, which the grid must cover even
     # when the requested window starts later
     grid = _grid(cfg, t_lo=min(0.0, cfg.tmin), t_hi=max(0.0, cfg.tmax))
     psi = _wavefunction(cfg)
-    if cfg.kind == "bouncer":
-        bp = BouncerParams(params)
-        closed = lambda t: autocorrelation_bouncer(bp, t)
-    else:
-        closed = lambda t: autocorrelation_free(params, t)
     ref = sample(psi, grid, 0.0)
-    records = []
-    for t in _times(cfg):
-        t = float(t)
-        a = closed(t)
-        num = overlap(ref, sample(psi, grid, t))
-        records.append(
-            {
-                "t": t,
-                "re_exact": a.real,
-                "im_exact": a.imag,
-                "abs2_exact": abs(a) ** 2,
-                "re_numeric": num.real,
-                "im_numeric": num.imag,
-            }
-        )
-    columns = ["t", "re_exact", "im_exact", "abs2_exact", "re_numeric", "im_numeric"]
-    _write(cfg, columns, records, _metadata(cfg, grid), stream)
+    ts = _times(cfg)
+    exact = [closed(cfg.params, t) for t in ts]
+    numeric = [overlap(ref, sample(psi, grid, t)) for t in ts]
+    columns = {
+        "t": ts,
+        "re_exact": [a.real for a in exact],
+        "im_exact": [a.imag for a in exact],
+        "abs2_exact": [abs(a) ** 2 for a in exact],
+        "re_numeric": [a.real for a in numeric],
+        "im_numeric": [a.imag for a in numeric],
+    }
+    _write(cfg, columns, _metadata(cfg, grid), stream)
     return 0
 
 
@@ -415,12 +376,13 @@ def cmd_validate(cfg: RunConfig, stream) -> int:
         criteria=cfg.criteria,
         progress=lambda msg: print(msg, file=sys.stderr),
     )
-    records = [
-        {"id": r.cid, "passed": r.passed, "description": r.description, "detail": r.detail}
-        for r in results
-    ]
-    meta = _metadata(cfg, None)
-    _write(cfg, ["id", "passed", "description", "detail"], records, meta, stream)
+    columns = {
+        "id": [r.cid for r in results],
+        "passed": [r.passed for r in results],
+        "description": [r.description for r in results],
+        "detail": [r.detail for r in results],
+    }
+    _write(cfg, columns, _metadata(cfg, None), stream)
     failed = [r.cid for r in results if not r.passed]
     print(
         f"{len(results) - len(failed)}/{len(results)} criteria passed"

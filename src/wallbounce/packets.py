@@ -140,7 +140,7 @@ def psi_free(params: PacketParams, x, t: float):
     )
     envelope = np.exp(-((x - params.center(t)) ** 2) / (2.0 * params.beta**2 * w))
     out = amp * phase * envelope
-    return out[()] if out.ndim == 0 else out
+    return out[()]
 
 
 def phi_free(params: PacketParams, p, t: float):
@@ -159,7 +159,7 @@ def phi_free(params: PacketParams, p, t: float):
         * np.exp(-params.alpha**2 * (p - params.p0) ** 2 / 2.0)
         * np.exp(-1j * p * params.x0 / params.hbar - 1j * p**2 * t / (2.0 * params.mass * params.hbar))
     )
-    return out[()] if out.ndim == 0 else out
+    return out[()]
 
 
 def free_moments(params: PacketParams, t: float) -> Moments:

@@ -11,6 +11,10 @@ packet is the degenerate limit of the mirror construction in
 momentum spread *decreases* with time as the outgoing components reflect
 off the wall.
 
+Both packets take the :class:`~wallbounce.packets.PacketParams` of the
+free Gaussian; ``SpecialParams(beta=...)`` returns one built from the
+position width ``beta`` in place of ``alpha = beta/hbar``.
+
 All moments below are exact closed forms; the momentum ones follow from
 applying (hbar/i)*d/dx to the explicit wavefunctions.
 """
@@ -18,11 +22,10 @@ applying (hbar/i)*d/dx to the explicit wavefunctions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .packets import Moments
+from .packets import _SQRT_PI, Moments, PacketParams
 
 __all__ = [
     "SpecialParams",
@@ -35,51 +38,22 @@ __all__ = [
     "wall_packet_uncertainty",
 ]
 
-_SQRT_PI = math.sqrt(math.pi)
 
+def SpecialParams(
+    beta: float, hbar: float = 1.0, mass: float = 1.0, x0: float = 0.0, p0: float = 0.0
+) -> PacketParams:
+    """Length-scale-first construction of the :class:`PacketParams` these packets take.
 
-@dataclass(frozen=True)
-class SpecialParams:
-    """Length-scale-first parameterization of the non-standard packets.
-
-    ``beta`` is the position width scale; the spreading time
-    ``t0 = mass*beta**2/hbar`` and the momentum-width parameter
-    ``alpha = beta/hbar`` are derived from it so the scales can never be
-    inconsistent.  ``x0``/``p0`` apply to the node packet only; the wall
-    packet requires both to be zero.
+    ``beta`` is the position width scale, so ``alpha = beta/hbar``.
+    ``x0``/``p0`` apply to the node packet only; the wall packet requires
+    both to be zero.
     """
-
-    beta: float
-    hbar: float = 1.0
-    mass: float = 1.0
-    x0: float = 0.0
-    p0: float = 0.0
-
-    def __post_init__(self):
-        for name in ("beta", "hbar", "mass", "x0", "p0"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("beta", "hbar", "mass"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-
-    @property
-    def alpha(self) -> float:
-        return self.beta / self.hbar
-
-    @property
-    def t0(self) -> float:
-        return self.mass * self.beta**2 / self.hbar
-
-    def beta_t(self, t: float) -> float:
-        return self.beta * math.sqrt(1.0 + (t / self.t0) ** 2)
-
-    def center(self, t: float) -> float:
-        return self.x0 + self.p0 * t / self.mass
+    if not hbar > 0.0:
+        raise ValueError(f"hbar must be positive, got {hbar!r}")
+    return PacketParams(x0, p0, beta / hbar, hbar, mass)
 
 
-def phi_node_packet(sp: SpecialParams, p, t: float):
+def phi_node_packet(sp: PacketParams, p, t: float):
     """Momentum-space node packet: a Gaussian with an odd (p - p0) prefactor.
 
     phi(p, t) = sqrt(2*alpha**3/sqrt(pi)) * (p - p0)
@@ -96,10 +70,10 @@ def phi_node_packet(sp: SpecialParams, p, t: float):
         * np.exp(-(a**2) * (p - sp.p0) ** 2 / 2.0)
         * np.exp(-1j * p * sp.x0 / sp.hbar - 1j * p**2 * t / (2.0 * sp.mass * sp.hbar))
     )
-    return out[()] if out.ndim == 0 else out
+    return out[()]
 
 
-def psi_node_packet(sp: SpecialParams, x, t: float):
+def psi_node_packet(sp: PacketParams, x, t: float):
     """Position-space node packet (Fourier transform of :func:`phi_node_packet`).
 
     psi(x, t) = i * sqrt(2 / (sqrt(pi)*beta**3*(1 + i*t/t0)**3))
@@ -116,10 +90,10 @@ def psi_node_packet(sp: SpecialParams, x, t: float):
         1j * sp.p0 * (x - sp.x0) / sp.hbar - 1j * sp.p0**2 * t / (2.0 * sp.mass * sp.hbar)
     )
     out = amp * phase * xc * np.exp(-(xc**2) / (2.0 * sp.beta**2 * w))
-    return out[()] if out.ndim == 0 else out
+    return out[()]
 
 
-def node_packet_moments(sp: SpecialParams, t: float) -> Moments:
+def node_packet_moments(sp: PacketParams, t: float) -> Moments:
     """Closed-form moments of the node packet.
 
     <p> = p0 with constant dp = sqrt(3/2)/alpha; <x> = X(t) with
@@ -132,12 +106,12 @@ def node_packet_moments(sp: SpecialParams, t: float) -> Moments:
     return Moments.from_raw(t, x_mean, x_mean**2 + x_var, sp.p0, sp.p0**2 + p_var)
 
 
-def _require_zero_offset(sp: SpecialParams):
+def _require_zero_offset(sp: PacketParams):
     if sp.x0 != 0.0 or sp.p0 != 0.0:
         raise ValueError("wall packet requires x0 = 0 and p0 = 0")
 
 
-def psi_wall_packet(sp: SpecialParams, x, t: float):
+def psi_wall_packet(sp: PacketParams, x, t: float):
     """Half-line wall packet: sqrt(2) times the zero-offset node packet for x <= 0.
 
     Vanishes identically for x >= 0 and at the wall for all t, so it is
@@ -150,10 +124,10 @@ def psi_wall_packet(sp: SpecialParams, x, t: float):
     amp = 1j * math.sqrt(4.0 / (_SQRT_PI * sp.beta**3)) / (w * np.sqrt(w))
     val = amp * x * np.exp(-(x**2) / (2.0 * sp.beta**2 * w))
     out = np.where(x <= 0.0, np.asarray(val), 0.0 + 0.0j)
-    return out[()] if out.ndim == 0 else out
+    return out[()]
 
 
-def wall_packet_moments(sp: SpecialParams, t: float) -> Moments:
+def wall_packet_moments(sp: PacketParams, t: float) -> Moments:
     """Closed-form moments of the wall packet.
 
     <x> = -2*beta_t/sqrt(pi), <x^2> = 3*beta_t**2/2,
@@ -173,7 +147,7 @@ def wall_packet_moments(sp: SpecialParams, t: float) -> Moments:
     return Moments.from_raw(t, x_mean, x2_mean, p_mean, p2_mean)
 
 
-def wall_packet_force(sp: SpecialParams, t: float) -> float:
+def wall_packet_force(sp: PacketParams, t: float) -> float:
     """Wall force d<p>/dt on the wall packet:
     -(2/(alpha*sqrt(pi)*t0)) * (1 + (t/t0)**2)**(-3/2).
 
@@ -185,7 +159,7 @@ def wall_packet_force(sp: SpecialParams, t: float) -> float:
     return -(2.0 / (sp.alpha * _SQRT_PI * sp.t0)) * (1.0 + s * s) ** -1.5
 
 
-def wall_packet_uncertainty(sp: SpecialParams, t: float) -> float:
+def wall_packet_uncertainty(sp: PacketParams, t: float) -> float:
     """Uncertainty product dx*dp of the wall packet.
 
     Starts at (hbar/2)*sqrt(3*(3*pi - 8)/pi) ~ 0.58*hbar, and grows for

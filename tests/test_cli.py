@@ -163,6 +163,8 @@ def test_bad_arguments_exit_two(tmp_path):
     assert run_cli(tmp_path, "density", "--xmin", "-50")[0] == 2  # missing --nx
     assert run_cli(tmp_path, "moments", "--alpha", "-1")[0] == 2
     assert run_cli(tmp_path, "validate", "--criteria", "C99")[0] == 2
+    assert run_cli(tmp_path, "moments", "--tmax", "nan")[0] == 2
+    assert run_cli(tmp_path, "density", "--tmax", "inf")[0] == 2
 
 
 def test_validate_subset_passes(tmp_path):
@@ -186,29 +188,68 @@ def test_validate_coarse_grid_surfaces_tail_error(tmp_path):
     assert "TailCaptureError" in rows[0]["detail"]
 
 
+def _closed_forms(kind, t):
+    """(x2, p2) and psi(x, t) of each kind, called in process at alpha = 1.3."""
+    from wallbounce import (
+        BouncerParams, PacketParams, SpecialParams, free_moments, momentum_second_moment,
+        node_packet_moments, position_second_moment, psi_bouncer, psi_free,
+        psi_node_packet, psi_wall_packet, wall_packet_moments,
+    )
+
+    pp = PacketParams(x0=0.0, p0=0.0, alpha=1.3) if kind == "wall" else PacketParams(-10.0, 5.0, 1.3)
+    sp = SpecialParams(beta=pp.beta, x0=pp.x0, p0=pp.p0)
+    if kind == "free":
+        m = free_moments(pp, t)
+        return (m.x2_mean, m.p2_mean), lambda x: psi_free(pp, x, t)
+    if kind == "free-node":
+        m = node_packet_moments(sp, t)
+        return (m.x2_mean, m.p2_mean), lambda x: psi_node_packet(sp, x, t)
+    if kind == "wall":
+        m = wall_packet_moments(sp, t)
+        return (m.x2_mean, m.p2_mean), lambda x: psi_wall_packet(sp, x, t)
+    bp = BouncerParams(pp)
+    x2 = (position_second_moment(bp, t), momentum_second_moment(bp))
+    return x2, lambda x: psi_bouncer(bp, x, t)
+
+
+@pytest.mark.parametrize(
+    "command,kind",
+    [(c, k) for c in ("moments", "density") for k in ("free", "free-node", "bouncer", "wall")]
+    + [("autocorr", "free"), ("autocorr", "bouncer")],
+)
+def test_every_kind_matches_its_closed_forms(tmp_path, command, kind):
+    from wallbounce import BouncerParams, PacketParams, autocorrelation_bouncer, autocorrelation_free
+
+    code, out = run_cli(
+        tmp_path, command, "--kind", kind, "--alpha", "1.3", "--tmax", "1.5", "--nt", "3",
+    )
+    assert code == 0
+    _, rows = read_csv(out)
+    ts = sorted({float(r["t"]) for r in rows})
+    assert ts == [0.0, 0.75, 1.5]
+    for t in ts:
+        slice_ = [r for r in rows if float(r["t"]) == t]
+        (x2, p2), psi = _closed_forms(kind, t)
+        if command == "moments":
+            (row,) = slice_
+            assert (float(row["x2_exact"]), float(row["p2_exact"])) == (x2, p2)
+        elif command == "density":
+            xs = np.array([float(r["x"]) for r in slice_])
+            density = np.array([float(r["density"]) for r in slice_])
+            assert xs.size > 100
+            np.testing.assert_array_equal(density, np.abs(psi(xs)) ** 2)
+        else:
+            (row,) = slice_
+            pp = PacketParams(-10.0, 5.0, 1.3)
+            a = autocorrelation_free(pp, t) if kind == "free" else autocorrelation_bouncer(
+                BouncerParams(pp), t
+            )
+            assert complex(float(row["re_exact"]), float(row["im_exact"])) == a
+
+
 def test_stdout_output(capsys):
     code = main(["autocorr", "--nt", "3", "--tmax", "1", "--kind", "free"])
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("# command=autocorr")
 
-
-def test_dump_state_schema(tmp_path):
-    import io
-
-    from wallbounce import BouncerParams, PacketParams, psi_bouncer
-    from wallbounce.cli import dump_state
-    from wallbounce.oracle import GridSpec, sample
-
-    bp = BouncerParams(PacketParams(x0=-10.0, p0=5.0, alpha=1.0))
-    state = sample(lambda x, t: psi_bouncer(bp, x, t), GridSpec(-40.0, 401, 0.0), 1.5)
-    buf = io.StringIO()
-    dump_state(state, buf, fmt="json")
-    payload = json.loads(buf.getvalue())
-    assert payload["schema_version"] == 1
-    assert payload["metadata"]["grid"]["n_points"] == 401
-    assert len(payload["records"]) == 401
-    rec = payload["records"][0]
-    assert set(rec) == {"t", "x", "re", "im", "density"}
-    assert rec["t"] == 1.5
-    assert payload["records"][-1]["density"] == 0.0  # wall point

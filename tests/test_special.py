@@ -41,7 +41,10 @@ def test_special_params_validation():
         SpecialParams(beta=0.0)
     with pytest.raises(ValueError):
         SpecialParams(beta=1.0, mass=-1.0)
+    with pytest.raises(ValueError):
+        SpecialParams(beta=1.0, hbar=0.0)
     p = SpecialParams(beta=2.0, hbar=0.5, mass=3.0)
+    assert type(p) is PacketParams
     assert p.alpha == 4.0
     assert p.t0 == 3.0 * 4.0 / 0.5
 
