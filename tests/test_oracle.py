@@ -213,6 +213,42 @@ def test_propagate_validates_arguments():
         propagate(bad, 1e-3, 1)
 
 
+@pytest.mark.parametrize("n_points", [3, 5, 41])
+@pytest.mark.parametrize("dt", [3e-3, -3e-3])
+@pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 1.3)])
+def test_propagate_matches_dense_cayley_power(n_points, dt, hbar, mass):
+    # independent reference: the dense Cayley/Numerov step matrix raised
+    # to the number of steps, (M - icK)^-1 (M + icK) with M = I + K/12
+    grid = GridSpec(-1.0, n_points, 0.0)
+    rng = np.random.default_rng(n_points)
+    values = np.zeros(n_points, dtype=complex)
+    values[1:-1] = rng.normal(size=n_points - 2) + 1j * rng.normal(size=n_points - 2)
+    st = GridState(grid, values, 0.5)
+    steps = 37
+    n = n_points - 2
+    K = -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    M = np.eye(n) + K / 12.0
+    c = hbar * dt / (4.0 * mass * grid.h**2)
+    step = np.linalg.solve(M - 1j * c * K, M + 1j * c * K)
+    want = np.linalg.matrix_power(step, steps) @ values[1:-1]
+    out = propagate(st, dt, steps, hbar=hbar, mass=mass)
+    assert np.max(np.abs(out.values[1:-1] - want)) < 1e-12
+    assert out.values[0] == 0.0 and out.values[-1] == 0.0
+    assert out.time == pytest.approx(0.5 + dt * steps, rel=1e-15)
+    split = propagate(propagate(st, dt, 15, hbar=hbar, mass=mass), dt, 22, hbar=hbar, mass=mass)
+    assert np.max(np.abs(split.values - out.values)) < 1e-12
+
+
+def test_propagate_refuses_state_nonzero_at_wall_end():
+    # a free packet on a half-line grid is not zero at x = 0, where the
+    # propagator pins the state; it must refuse, not clip it
+    grid = GridSpec(-20.0, 2001, 0.0)
+    st = sample(lambda x, t: psi_free(PacketParams(x0=-2.0, p0=1.0, alpha=1.0), x, t), grid, 0.0)
+    assert abs(st.values[-1]) > 0.05
+    with pytest.raises(TailCaptureError, match=r"psi\(x_max\)"):
+        propagate(st, 1e-3, 10)
+
+
 def test_propagate_norm_conserved_ten_thousand_steps():
     bp = BouncerParams(DEMO)
     grid = GridSpec(-30.0, 3001, 0.0)
