@@ -13,7 +13,8 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from itertools import chain, islice, repeat
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,9 @@ from .special import (
 from .validation import CRITERION_IDS, run_all
 
 SCHEMA_VERSION = 1
+#: rows joined into one write: a density chunk then stays near 50 kB, small
+#: enough for the allocator to reuse one block instead of mapping fresh pages
+_ROWS_PER_WRITE = 512
 _CONFIG_KEYS = {
     "kind", "x0", "p0", "alpha", "hbar", "mass",
     "tmin", "tmax", "nt", "xmin", "nx", "format", "out",
@@ -221,6 +225,10 @@ def _wavefunction(cfg: RunConfig):
     return partial(_KINDS[cfg.kind].psi, cfg.params)
 
 
+def _invalid_grid(exc: ValueError) -> CliError:
+    return CliError(f"invalid grid: {exc}; choose one with --xmin and an odd --nx")
+
+
 def _grid(
     cfg: RunConfig,
     t_lo: float | None = None,
@@ -240,7 +248,7 @@ def _grid(
             return half_line_grid(cfg.params, t_edge, points_per_beta=points_per_beta)
         return full_line_grid(cfg.params, t_lo, t_hi, points_per_beta=points_per_beta)
     except ValueError as exc:
-        raise CliError(f"invalid grid: {exc}") from exc
+        raise _invalid_grid(exc) from exc
 
 
 def _times(cfg: RunConfig) -> list[float]:
@@ -280,28 +288,95 @@ def _fmt_value(value):
     return str(value)
 
 
-def _write(cfg: RunConfig, columns: dict, meta: dict, stream):
-    """Write equal-length columns ({name: values}, in output order) as CSV or JSON."""
-    if cfg.format == "json":
-        names = tuple(columns)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "metadata": meta,
-            "records": [dict(zip(names, row)) for row in zip(*columns.values())],
-        }
-        stream.write(json.dumps(payload, indent=2))
-        stream.write("\n")
-        return
-    for key in ("command", "schema_version"):
-        stream.write(f"# {key}={meta[key]}\r\n")
-    for section in ("params", "grid"):
-        if section in meta:
-            parts = ",".join(f"{k}={_fmt_value(v)}" for k, v in meta[section].items())
-            stream.write(f"# {section}: {parts}\r\n")
-    stream.write(f"# units: {meta['units']['system']}\r\n")
-    writer = csv.writer(stream, lineterminator="\r\n")
-    writer.writerow(columns)
-    writer.writerows(zip(*(map(_fmt_value, values) for values in columns.values())))
+def _floats(values) -> list | None:
+    """The column as a list of Python floats, or None if any value is not a float."""
+    if isinstance(values, np.ndarray):
+        return values.tolist() if values.dtype == np.float64 else None
+    return values if all(type(v) is float for v in values) else None
+
+
+def _csv_column(values) -> tuple[list[str], bool]:
+    """CSV fields of one column, and whether they are all floats (never quoted)."""
+    floats = _floats(values)
+    if floats is None:
+        return list(map(_fmt_value, values)), False
+    return list(map("%.17g".__mod__, floats)), True
+
+
+def _json_column(values) -> tuple[list[str], bool]:
+    """JSON texts of one column: finite floats by float.__repr__, as json writes
+    them, anything else by json.dumps; and whether they are all finite floats."""
+    floats = _floats(values)
+    if floats is not None and all(map(math.isfinite, floats)):
+        return list(map(float.__repr__, floats)), True
+    return list(map(json.dumps, values)), False
+
+
+def _write(cfg: RunConfig, blocks: Iterable[dict], meta: dict, stream):
+    """Write blocks of rows to stream as CSV or JSON, one block at a time.
+
+    Each block is a {name: column} dict with the same names in output
+    order.  A column is a sequence with one value per row of the block,
+    or a single value that stands for every row.  Columns are formatted
+    whole, and a column that is the same object as in the previous block
+    (the density grid) is formatted only once.  Only the current block's
+    texts are held, and rows go out _ROWS_PER_WRITE at a time, so memory
+    does not grow with the number of blocks.  The first block is taken
+    before anything is written, so a request that fails there writes
+    nothing.  The bytes are those of csv.writer, and
+    of json.dumps(payload, indent=2) over all the records.
+    """
+    blocks = iter(blocks)
+    first = next(blocks)
+    names = tuple(first)
+    json_out = cfg.format == "json"
+    if json_out:
+        payload = {"schema_version": SCHEMA_VERSION, "metadata": meta, "records": []}
+        head, _, tail = json.dumps(payload, indent=2).rpartition("[]")
+        stream.write(head)
+        keys = (json.dumps(name).replace("%", "%%") for name in names)
+        row = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
+        opened = False  # whether "[" and a first record are written
+    else:
+        for key in ("command", "schema_version"):
+            stream.write(f"# {key}={meta[key]}\r\n")
+        for section in ("params", "grid"):
+            if section in meta:
+                parts = ",".join(f"{k}={_fmt_value(v)}" for k, v in meta[section].items())
+                stream.write(f"# {section}: {parts}\r\n")
+        stream.write(f"# units: {meta['units']['system']}\r\n")
+        writer = csv.writer(stream, lineterminator="\r\n")
+        writer.writerow(names)
+        row = ",".join(["%s"] * len(names)) + "\r\n"
+    format_column = _json_column if json_out else _csv_column
+    formatted = {}  # name -> (column, its texts, all floats)
+    for block in chain((first,), blocks):
+        texts, plain = [], True
+        for name, values in block.items():
+            if isinstance(values, (list, tuple, np.ndarray)):
+                if formatted.get(name, (None,))[0] is not values:
+                    formatted[name] = (values, *format_column(values))
+                _, text, floats = formatted[name]
+            else:
+                (one,), floats = format_column([values])
+                text = repeat(one)
+            texts.append(text)
+            plain = plain and floats
+        rows = zip(*texts)
+        if json_out:
+            lines = map(row.__mod__, rows)
+            while chunk := ",\n".join(islice(lines, _ROWS_PER_WRITE)):
+                stream.write(",\n" if opened else "[\n")
+                stream.write(chunk)
+                opened = True
+        elif plain:
+            lines = map(row.__mod__, rows)
+            while chunk := "".join(islice(lines, _ROWS_PER_WRITE)):
+                stream.write(chunk)
+        else:
+            writer.writerows(rows)  # quotes str fields as RFC 4180 asks
+    if json_out:
+        stream.write(("\n  ]" if opened else "[]") + tail + "\n")
 
 
 def cmd_density(cfg: RunConfig, stream) -> int:
@@ -310,13 +385,9 @@ def cmd_density(cfg: RunConfig, stream) -> int:
     grid = _grid(cfg, points_per_beta=64.0)
     psi = _wavefunction(cfg)
     xs = grid.points()
-    x_values = xs.tolist()
-    columns = {"t": [], "x": [], "density": []}
-    for t in _times(cfg):
-        columns["t"] += [t] * xs.size
-        columns["x"] += x_values
-        columns["density"] += (np.abs(psi(xs, t)) ** 2).tolist()
-    _write(cfg, columns, _metadata(cfg, grid), stream)
+    # one slice per time; the grid column is the same array in every slice
+    slices = ({"t": t, "x": xs, "density": np.abs(psi(xs, t)) ** 2} for t in _times(cfg))
+    _write(cfg, slices, _metadata(cfg, grid), stream)
     return 0
 
 
@@ -340,7 +411,7 @@ def cmd_moments(cfg: RunConfig, stream) -> int:
         "x2_exact": x2,
         "p2_exact": p2,
     }
-    _write(cfg, columns, _metadata(cfg, grid), stream)
+    _write(cfg, [columns], _metadata(cfg, grid), stream)
     return 0
 
 
@@ -365,12 +436,15 @@ def cmd_autocorr(cfg: RunConfig, stream) -> int:
         "re_numeric": [a.real for a in numeric],
         "im_numeric": [a.imag for a in numeric],
     }
-    _write(cfg, columns, _metadata(cfg, grid), stream)
+    _write(cfg, [columns], _metadata(cfg, grid), stream)
     return 0
 
 
 def cmd_validate(cfg: RunConfig, stream) -> int:
-    override = GridSpec(cfg.xmin, cfg.nx, 0.0) if cfg.xmin is not None else None
+    try:
+        override = GridSpec(cfg.xmin, cfg.nx, 0.0) if cfg.xmin is not None else None
+    except ValueError as exc:
+        raise _invalid_grid(exc) from exc
     results = run_all(
         grid_override=override,
         criteria=cfg.criteria,
@@ -382,7 +456,7 @@ def cmd_validate(cfg: RunConfig, stream) -> int:
         "description": [r.description for r in results],
         "detail": [r.detail for r in results],
     }
-    _write(cfg, columns, _metadata(cfg, None), stream)
+    _write(cfg, [columns], _metadata(cfg, None), stream)
     failed = [r.cid for r in results if not r.passed]
     print(
         f"{len(results) - len(failed)}/{len(results)} criteria passed"

@@ -25,6 +25,7 @@ import numpy as np
 from .packets import PacketParams
 
 __all__ = [
+    "MAX_GRID_POINTS",
     "TailCaptureError",
     "GridMismatchError",
     "StencilConvergenceError",
@@ -43,6 +44,10 @@ __all__ = [
 #: endpoint amplitude (relative to the max) above which a grid is
 #: considered too narrow to capture the state's tails
 TAIL_RTOL = 1e-12
+
+#: most points a GridSpec may have (64 MiB per complex state); far above
+#: every grid the library sizes for its own checks (about 6e5 points)
+MAX_GRID_POINTS = 2**22
 
 
 class TailCaptureError(ValueError):
@@ -68,7 +73,8 @@ class GridSpec:
     The default x_max = 0.0 is the hard wall, giving the half-line grid
     [x_min, 0] with the last point exactly at the wall; pass x_max > 0
     for the full-line variant used with free packets.  n_points must be
-    odd so composite Simpson weights exist.
+    odd so composite Simpson weights exist, and at most MAX_GRID_POINTS,
+    which is checked here, before any array of that size is allocated.
     """
 
     x_min: float
@@ -84,6 +90,11 @@ class GridSpec:
             raise ValueError(f"n_points must be >= 3, got {self.n_points}")
         if self.n_points % 2 == 0:
             raise ValueError(f"n_points must be odd for composite Simpson, got {self.n_points}")
+        if self.n_points > MAX_GRID_POINTS:
+            raise ValueError(
+                f"n_points = {self.n_points} exceeds the budget of {MAX_GRID_POINTS} points "
+                f"({16 * self.n_points / 2**20:.0f} MiB per complex state)"
+            )
 
     @property
     def h(self) -> float:
@@ -141,16 +152,16 @@ def _check_tails(state: GridState):
     amax = float(np.max(np.abs(state.values)))
     if amax == 0.0:
         return
-    # the x_max end is a tail only on full-line grids; on the half-line
-    # (x_max == 0) it is the wall, where states vanish by construction
-    ends = [(0, "x_min")] if state.grid.x_max == 0.0 else [(0, "x_min"), (-1, "x_max")]
-    for end, label in ends:
+    # both ends: on a half-line grid x_max is the wall, where a mirror state
+    # is exactly zero, so a state that is not zero there is not one
+    grid = state.grid
+    half = 0.5 * (grid.x_max - grid.x_min)
+    for end, label, wider in ((0, "x_min", grid.x_min - half), (-1, "x_max", grid.x_max + half)):
         if abs(state.values[end]) > TAIL_RTOL * amax:
-            span = state.grid.x_max - state.grid.x_min
             raise TailCaptureError(
                 f"|psi({label})| = {abs(state.values[end]):.3e} exceeds "
                 f"{TAIL_RTOL:g} * max|psi| = {TAIL_RTOL * amax:.3e}; widen the grid "
-                f"(e.g. x_min <= {state.grid.x_min - 0.5 * span:.6g})"
+                f"(e.g. {label} {'<=' if end == 0 else '>='} {wider:.6g})"
             )
 
 
@@ -287,13 +298,6 @@ def propagate(
     if steps == 0:
         return GridState(initial.grid, values, initial.time)
     _check_tails(initial)
-    # _check_tails skips the x_max end of a half-line grid, but it is pinned too
-    amax = float(np.max(np.abs(values)))
-    if abs(values[-1]) > TAIL_RTOL * amax:
-        raise TailCaptureError(
-            f"|psi(x_max)| = {abs(values[-1]):.3e} exceeds {TAIL_RTOL:g} * max|psi| = "
-            f"{TAIL_RTOL * amax:.3e}; propagate pins both grid ends to zero"
-        )
     n = initial.grid.n_points - 2
     lam = -4.0 * np.sin(np.arange(1, n + 1) * (0.5 * math.pi / (n + 1))) ** 2
     c = hbar * dt / (4.0 * mass * initial.grid.h ** 2)

@@ -167,6 +167,23 @@ def test_bad_arguments_exit_two(tmp_path):
     assert run_cli(tmp_path, "density", "--tmax", "inf")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--tmax", "1e4"],  # the automatic grid would take 7.7e6 points
+        ["moments", "--tmax", "1e4"],  # 2.0e8 points
+        ["density", "--xmin", "-50", "--nx", "100000001"],
+        ["validate", "--xmin", "-50", "--nx", "100000001"],
+        ["validate", "--xmin", "-50", "--nx", "1000"],  # even
+    ],
+)
+def test_bad_grid_exits_two(tmp_path, capsys, argv):
+    assert run_cli(tmp_path, *argv)[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid grid") and err.count("\n") == 1
+    assert "--xmin" in err and "--nx" in err
+
+
 def test_validate_subset_passes(tmp_path):
     code, out = run_cli(
         tmp_path, "validate", "--criteria", "C03,C09,C10", "--format", "json"

@@ -7,6 +7,7 @@ import pytest
 
 from wallbounce import BouncerParams, PacketParams, psi_bouncer, psi_free
 from wallbounce.oracle import (
+    MAX_GRID_POINTS,
     GridMismatchError,
     GridSpec,
     GridState,
@@ -41,6 +42,12 @@ def test_gridspec_validation():
         GridSpec(-1.0, 1)  # too few
     with pytest.raises(ValueError):
         GridSpec(1.0, 5, 0.0)  # x_min >= x_max
+    # the point budget, checked before anything is allocated
+    largest = GridSpec(-1.0, MAX_GRID_POINTS - 1)  # the largest odd count
+    with pytest.raises(ValueError, match="budget"):
+        largest.refined()
+    with pytest.raises(ValueError, match="budget"):
+        GridSpec(-1.0, 2 * 10**9 + 1)  # 30 GiB per complex state
     g = GridSpec(-1.0, 5)
     assert g.h == 0.25
     assert g.points()[-1] == 0.0
@@ -75,22 +82,22 @@ def test_sample_rejects_non_finite():
 
 
 def test_simpson_toy_values_by_hand():
-    # uniform psi = 1 on [-1, 0], 3 points: h/3 * (1 + 4 + 1) weights
+    # psi = (0, 1, 0) on [-1, 0], 3 points, zero at both ends as the tail
+    # check asks: Simpson weights h/3 * (1, 4, 1) with h = 1/2 give
+    # h/3*(0 + 4 + 0) = 2/3 for the norm and h/3*(0 + 4*(-1/2) + 0) = -1/3
+    # for the first moment
     grid = GridSpec(-1.0, 3)
-    st = GridState(grid, np.ones(3, dtype=complex), 0.0)
-    st.values[0] = 0.0  # keep the left tail check happy
-    # with psi(x_min) zeroed: h/3*(0 + 4 + 1) = 5/6 for the norm,
-    # h/3*(0 + 4*(-1/2) + 0) = -1/3 for the first moment
-    assert moment_x(st, 0) == pytest.approx(5.0 / 6.0, rel=1e-15)
+    st = GridState(grid, np.array([0.0, 1.0, 0.0], dtype=complex), 0.0)
+    assert moment_x(st, 0) == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert moment_x(st, 1) == pytest.approx(-1.0 / 3.0, rel=1e-15)
 
 
 def test_simpson_exact_for_cubics():
-    # Simpson integrates cubics exactly: density (1+x)^2 against order 1
-    # gives Int x(1+x)^2 dx = -1/12 on [-1, 0]
+    # Simpson integrates cubics exactly: density -x(1+x), zero at both
+    # ends, against order 1 gives Int -x^2(1+x) dx = -1/12 on [-1, 0]
     grid = GridSpec(-1.0, 9)
     xs = grid.points()
-    st = GridState(grid, (1.0 + xs) * (1.0 + 0j), 0.0)
+    st = GridState(grid, np.sqrt(-xs * (1.0 + xs)) + 0j, 0.0)
     assert moment_x(st, 1) == pytest.approx(-1.0 / 12.0, rel=1e-14)
 
 
@@ -126,6 +133,18 @@ def test_moment_x_rejects_bad_order():
     st = GridState(grid, np.zeros(5, dtype=complex), 0.0)
     with pytest.raises(ValueError):
         moment_x(st, -1)
+
+
+def test_moments_refuse_state_nonzero_at_wall_end():
+    # a free packet on a half-line grid is not zero at x = 0, the x_max
+    # end; the quadratures must refuse it, not integrate half a packet
+    grid = GridSpec(-20.0, 2001, 0.0)
+    st = sample(lambda x, t: psi_free(PacketParams(x0=-2.0, p0=1.0, alpha=1.0), x, t), grid, 0.0)
+    assert abs(st.values[-1]) > 0.05
+    with pytest.raises(TailCaptureError, match=r"psi\(x_max\).*x_max >= 10"):
+        moment_x(st, 0)
+    with pytest.raises(TailCaptureError, match=r"psi\(x_max\)"):
+        moment_p(st, 1)
 
 
 def test_tail_capture_error_suggests_wider_grid():
