@@ -6,10 +6,12 @@ mirrored packet so the wavefunction vanishes at the wall,
     psi_mirror(x, t) = N * [psi(x, t) - psi(-x, t)]   for x < 0,
     psi_mirror(x, t) = 0                              for x >= 0.
 
-Because the difference is odd in x, every integral of an even quantity
-over the half-line equals half the full-line integral, which is what
-makes the normalization N, the even moments ``<x^2>`` and ``<p^2>``, and
-the autocorrelation available in closed form.  Odd moments only admit
+It is evaluated as one free packet times an ``expm1`` factor, exact to
+round-off for every phase-space distance z > 0.  Because the difference
+is odd in x, every integral of an even quantity over the half-line
+equals half the full-line integral, which is what makes the
+normalization N, the even moments ``<x^2>`` and ``<p^2>``, and the
+autocorrelation available in closed form.  Odd moments only admit
 near-collision expansions; the exact values are left to the numerical
 oracle.
 
@@ -134,12 +136,17 @@ def psi_bouncer(bp: BouncerParams, x, t: float):
     """Normalized mirror-difference wavefunction on the half-line.
 
     Returns N*[psi(x,t) - psi(-x,t)] for x < 0 and exactly 0 for
-    x >= 0; the wall value psi(0, t) is zero for all t by construction.
+    x >= 0.  As psi(-x) = psi(x)*exp(-2*k*x) with k = i*p0/hbar +
+    X(t)/(beta**2*(1 + i*t/t0)), this is -s*N*psi(s*x)*expm1(-2*s*k*x),
+    with s = -1 if X(t) > 0 and 1 otherwise so that the factor never
+    overflows; it is exact to round-off for every distance z > 0.
     """
-    n = bp.norm_constant
-    x = np.asarray(x, dtype=float)
-    diff = psi_free(bp.base, x, t) - psi_free(bp.base, -x, t)
-    out = np.where(x < 0.0, n * np.asarray(diff), 0.0 + 0.0j)
+    base = bp.base
+    big_x = base.center(t)
+    k = 1j * base.p0 / base.hbar + big_x / (base.beta**2 * (1.0 + 1j * t / base.t0))
+    s = -1.0 if big_x > 0.0 else 1.0
+    x = np.minimum(np.asarray(x, dtype=float), 0.0)
+    out = -s * bp.norm_constant * psi_free(base, s * x, t) * np.expm1(-2.0 * s * k * x)
     return out[()]
 
 
@@ -241,15 +248,6 @@ def collision_force_scale(bp: BouncerParams) -> float:
     return -2.0 * bp.base.p0**2 / (bp.base.mass * bp.base.beta_t(tc))
 
 
-def _one_minus_exp(w):
-    """1 - exp(-w) for complex w, accurate near w = 0."""
-    w = complex(w)
-    if abs(w) < 1e-4:
-        # series for 1 - exp(-w); relative error < |w|**4/120
-        return w * (1.0 - w / 2.0 * (1.0 - w / 3.0 * (1.0 - w / 4.0)))
-    return -(np.exp(-w) - 1.0)
-
-
 def autocorrelation_bouncer(bp: BouncerParams, t: float) -> complex:
     """Overlap of the bouncing packet at time t with its initial state.
 
@@ -261,5 +259,5 @@ def autocorrelation_bouncer(bp: BouncerParams, t: float) -> complex:
     mirror_normalization(bp.base)  # raises DegenerateMirrorError at distance 0
     z = bp.phase_space_distance
     u = 1.0 + 0.5j * t / bp.base.t0
-    factor = _one_minus_exp(z / u) / _one_minus_exp(z)
+    factor = np.expm1(-z / u) / math.expm1(-z)
     return complex(autocorrelation_free(bp.base, t) * factor)

@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -210,8 +211,10 @@ def _resolve(args) -> RunConfig:
         raise CliError(f"unknown format {fmt!r}; choose csv or json")
     out = pick("out", str, "-")
     criteria = None
-    if getattr(args, "criteria", None):
+    if getattr(args, "criteria", None) is not None:
         criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
+        if not criteria:
+            raise CliError(f"--criteria names no criterion; choose from {', '.join(CRITERION_IDS)}")
         unknown = set(criteria) - set(CRITERION_IDS)
         if unknown:
             raise CliError(f"unknown criteria: {', '.join(sorted(unknown))}")
@@ -506,6 +509,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(handler, cfg: RunConfig) -> int:
+    """Run one command into cfg.out, which gets the whole output or none of it:
+    a new file beside the target replaces it when the command returns, exit 1
+    included, and is removed if it raises.  A FIFO or device is written in place."""
+    if cfg.out == "-":
+        return handler(cfg, sys.stdout)
+    target = os.path.realpath(cfg.out)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", newline="") as stream:
+            return handler(cfg, stream)
+    partial_path = f"{target}.{os.getpid()}.part"
+    stream = open(partial_path, "x", newline="")  # "x": a new file, mode from the umask
+    try:
+        with stream:
+            code = handler(cfg, stream)
+        os.replace(partial_path, target)
+    except BaseException:
+        os.unlink(partial_path)
+        raise
+    return code
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -515,27 +540,13 @@ def main(argv=None) -> int:
         "validate": cmd_validate,
     }
     try:
-        cfg = _resolve(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if cfg.out == "-":
-            return handlers[cfg.command](cfg, sys.stdout)
-        with open(cfg.out, "w", newline="") as stream:
-            return handlers[cfg.command](cfg, stream)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DegenerateMirrorError as exc:
+        return _run(handlers[args.command], _resolve(args))
+    except (CliError, DegenerateMirrorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TailCaptureError, StencilConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -202,7 +202,7 @@ def _derivative_o2(v: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def moment_p(state: GridState, order: int, *, hbar: float = 1.0, rtol: float = 1e-6) -> float:
+def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -> float:
     """Momentum moment via the operator (hbar/i) d/dx on the grid.
 
     order 1 returns Re Int psi* (hbar/i) psi' dx; order 2 returns
@@ -267,14 +267,7 @@ def _dst1(v: np.ndarray) -> np.ndarray:
     return np.fft.fft(ext)[1 : n + 1] * (0.5j * math.sqrt(2.0 / (n + 1)))
 
 
-def propagate(
-    initial: GridState,
-    dt: float,
-    steps: int,
-    *,
-    hbar: float = 1.0,
-    mass: float = 1.0,
-) -> GridState:
+def propagate(initial: GridState, dt: float, steps: int, *, hbar: float, mass: float) -> GridState:
     """Evolve a state under the free Hamiltonian with hard walls at both grid ends.
 
     Each step is the Cayley step (M - icK) psi+ = (M + icK) psi, where K

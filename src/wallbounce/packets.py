@@ -129,17 +129,17 @@ def psi_free(params: PacketParams, x, t: float):
     complex or ndarray
         psi(x, t) = [sqrt(pi)*alpha*hbar*(1 + i*t/t0)]**(-1/2)
         * exp(i*p0*(x - x0)/hbar) * exp(-i*p0**2*t/(2*m*hbar))
-        * exp(-(x - X(t))**2 / (2*beta**2*(1 + i*t/t0))).
+        * exp(-(x - X(t))**2 / (2*beta**2*(1 + i*t/t0))),
+        evaluated as one complex exp of a quadratic in x - X(t).  The
+        other packets are this value times an exact factor.
     """
-    x = np.asarray(x, dtype=float)
     w = 1.0 + 1j * t / params.t0
+    u = np.asarray(x, dtype=float) - params.center(t)
+    c1 = -1.0 / (2.0 * params.beta**2 * w)
+    c2 = 1j * params.p0 / params.hbar
+    c3 = 1j * params.p0**2 * t / (2.0 * params.mass * params.hbar)
     amp = 1.0 / np.sqrt(_SQRT_PI * params.alpha * params.hbar * w)
-    phase = np.exp(
-        1j * params.p0 * (x - params.x0) / params.hbar
-        - 1j * params.p0**2 * t / (2.0 * params.mass * params.hbar)
-    )
-    envelope = np.exp(-((x - params.center(t)) ** 2) / (2.0 * params.beta**2 * w))
-    out = amp * phase * envelope
+    out = amp * np.exp(u * (u * c1 + c2) + c3)
     return out[()]
 
 

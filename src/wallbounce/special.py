@@ -7,9 +7,10 @@ limit (x0 = p0 = 0) vanishes at x = 0 for all times and therefore also
 solves the hard-wall problem directly; restricted to x <= 0 and
 renormalized by sqrt(2) it is called the *wall packet* here.  The wall
 packet is the degenerate limit of the mirror construction in
-:mod:`wallbounce.bouncer` and has unusual closed-form behaviour: its
-momentum spread *decreases* with time as the outgoing components reflect
-off the wall.
+:mod:`wallbounce.bouncer` (exact for every z > 0, and equal to it up to a
+phase as z -> 0).  Its momentum spread *decreases* with time as the
+outgoing components reflect off the wall.  Both packets are evaluated as
+:func:`~wallbounce.packets.psi_free` times an exact factor.
 
 Both packets take the :class:`~wallbounce.packets.PacketParams` of the
 free Gaussian; ``SpecialParams(beta=...)`` returns one built from the
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from .packets import _SQRT_PI, Moments, PacketParams
+from .packets import _SQRT_PI, Moments, PacketParams, psi_free
 
 __all__ = [
     "SpecialParams",
@@ -80,16 +81,13 @@ def psi_node_packet(sp: PacketParams, x, t: float):
     * exp(i*p0*(x - x0)/hbar) * exp(-i*p0**2*t/(2*m*hbar))
     * (x - X(t)) * exp(-(x - X(t))**2/(2*beta**2*(1 + i*t/t0))),
     with the principal branch for the 3/2-power and a node at x = X(t).
-    The prefactor is fixed by unit full-line norm.
+    The prefactor is fixed by unit full-line norm.  Evaluated as
+    i*sqrt(2)/(beta*(1 + i*t/t0)) * (x - X(t)) times :func:`psi_free`,
+    which is exact on the principal branch because Re(1 + i*t/t0) > 0.
     """
     x = np.asarray(x, dtype=float)
-    w = 1.0 + 1j * t / sp.t0
-    amp = 1j * math.sqrt(2.0 / (_SQRT_PI * sp.beta**3)) / (w * np.sqrt(w))
-    xc = x - sp.center(t)
-    phase = np.exp(
-        1j * sp.p0 * (x - sp.x0) / sp.hbar - 1j * sp.p0**2 * t / (2.0 * sp.mass * sp.hbar)
-    )
-    out = amp * phase * xc * np.exp(-(xc**2) / (2.0 * sp.beta**2 * w))
+    ratio = 1j * math.sqrt(2.0) / (sp.beta * (1.0 + 1j * t / sp.t0))
+    out = ratio * (x - sp.center(t)) * psi_free(sp, x, t)
     return out[()]
 
 
@@ -120,10 +118,7 @@ def psi_wall_packet(sp: PacketParams, x, t: float):
     """
     _require_zero_offset(sp)
     x = np.asarray(x, dtype=float)
-    w = 1.0 + 1j * t / sp.t0
-    amp = 1j * math.sqrt(4.0 / (_SQRT_PI * sp.beta**3)) / (w * np.sqrt(w))
-    val = amp * x * np.exp(-(x**2) / (2.0 * sp.beta**2 * w))
-    out = np.where(x <= 0.0, np.asarray(val), 0.0 + 0.0j)
+    out = np.where(x <= 0.0, math.sqrt(2.0) * psi_node_packet(sp, x, t), 0.0 + 0.0j)
     return out[()]
 
 

@@ -162,7 +162,7 @@ def _check_collision_momentum(grid_override):
         tc = bp.collision_time
         closed = p_mean_at_collision(bp)
         grid = half_line_grid(params, tc)
-        numeric = moment_p(_state(bp, grid, tc), 1, rtol=1e-3)
+        numeric = moment_p(_state(bp, grid, tc), 1, hbar=params.hbar, rtol=1e-3)
         worst = max(worst, abs(closed - numeric) / abs(numeric))
         dists.append(abs(closed - asymptote))
     monotone = all(a > b for a, b in zip(dists, dists[1:]))

@@ -229,14 +229,14 @@ def test_p2_vs_derivative_quadrature(demo_bp):
     grid = half_line_grid(DEMO, 2.0)
     closed = momentum_second_moment(demo_bp)
     for t in (0.0, 2.0):  # t = 0 and t = t_c
-        numeric = moment_p(_bouncer_state(demo_bp, grid, t), 2)
+        numeric = moment_p(_bouncer_state(demo_bp, grid, t), 2, hbar=1.0)
         assert abs(numeric - closed) / closed < 1e-6
 
 
 def test_p2_time_invariance_of_oracle(demo_bp):
     grid = half_line_grid(DEMO, 4.0)
     values = [
-        moment_p(_bouncer_state(demo_bp, grid, t), 2) for t in (0.0, 1.0, 2.0, 4.0)
+        moment_p(_bouncer_state(demo_bp, grid, t), 2, hbar=1.0) for t in (0.0, 1.0, 2.0, 4.0)
     ]
     for a in values:
         for b in values:
@@ -329,7 +329,7 @@ def test_p_mean_requires_collision():
 
 def test_p_mean_vs_oracle_within_10pct(near_bp, near_grid):
     tc = near_bp.collision_time
-    numeric = moment_p(_bouncer_state(near_bp, near_grid, tc), 1, rtol=1e-3)
+    numeric = moment_p(_bouncer_state(near_bp, near_grid, tc), 1, hbar=1.0, rtol=1e-3)
     closed = p_mean_at_collision(near_bp)
     assert abs(closed - numeric) / abs(numeric) < 0.10
 
@@ -409,7 +409,7 @@ def test_oracle_ehrenfest_across_bounce(demo_bp):
 
     for t in (0.5, 1.9, 2.0, 2.1, 3.5):
         fd = DEMO.mass * (xbar(t + d) - xbar(t - d)) / (2.0 * d)
-        pbar = moment_p(_bouncer_state(demo_bp, grid, t), 1, rtol=1e-4)
+        pbar = moment_p(_bouncer_state(demo_bp, grid, t), 1, hbar=1.0, rtol=1e-4)
         assert abs(fd - pbar) < 1e-4
 
 

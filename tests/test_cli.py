@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -165,6 +168,9 @@ def test_bad_arguments_exit_two(tmp_path):
     assert run_cli(tmp_path, "validate", "--criteria", "C99")[0] == 2
     assert run_cli(tmp_path, "moments", "--tmax", "nan")[0] == 2
     assert run_cli(tmp_path, "density", "--tmax", "inf")[0] == 2
+    assert run_cli(tmp_path, "validate", "--criteria", ",")[0] == 2
+    assert run_cli(tmp_path, "validate", "--criteria", " , ")[0] == 2
+    assert run_cli(tmp_path, "validate", "--criteria", "")[0] == 2
 
 
 @pytest.mark.parametrize(
@@ -203,6 +209,51 @@ def test_validate_coarse_grid_surfaces_tail_error(tmp_path):
     _, rows = read_csv(out)
     assert rows[0]["passed"] == "false"
     assert "TailCaptureError" in rows[0]["detail"]
+
+
+FAILING_RUNS = [
+    (["density", "--tmax", "1e4"], 2),  # grid over budget
+    # the reflected packet leaves the automatic grid: a numerical failure
+    (["moments", "--kind", "bouncer", "--x0", "-8", "--p0", "5", "--alpha", "1.4", "--tmax", "19"],
+     1),
+]
+
+
+@pytest.mark.parametrize("argv,code", FAILING_RUNS)
+def test_failed_run_leaves_no_file(tmp_path, argv, code):
+    assert run_cli(tmp_path, *argv)[0] == code
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,code", FAILING_RUNS)
+def test_failed_run_keeps_existing_file(tmp_path, argv, code):
+    out = tmp_path / "out.dat"
+    out.write_bytes(b"earlier output\r\n")
+    assert run_cli(tmp_path, *argv)[0] == code
+    assert out.read_bytes() == b"earlier output\r\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_successful_run_replaces_file_whole(tmp_path):
+    out = tmp_path / "out.dat"
+    out.write_bytes(b"earlier output that is longer than nothing\r\n" * 1000)
+    assert run_cli(tmp_path, "autocorr", "--kind", "free", "--nt", "3")[0] == 0
+    assert out.read_bytes().startswith(b"# command=autocorr")
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_fifo_target_is_written_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["autocorr", "--kind", "free", "--nt", "3", "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert received and received[0].startswith(b"# command=autocorr")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
 
 
 def _closed_forms(kind, t):

@@ -144,7 +144,7 @@ def test_moments_refuse_state_nonzero_at_wall_end():
     with pytest.raises(TailCaptureError, match=r"psi\(x_max\).*x_max >= 10"):
         moment_x(st, 0)
     with pytest.raises(TailCaptureError, match=r"psi\(x_max\)"):
-        moment_p(st, 1)
+        moment_p(st, 1, hbar=1.0)
 
 
 def test_tail_capture_error_suggests_wider_grid():
@@ -161,14 +161,14 @@ def test_tail_capture_error_suggests_wider_grid():
 def test_moment_p_plane_wave_gaussian():
     grid = full_line_grid(PP, 0.0, 0.0)
     st = sample(lambda x, t: psi_free(PP, x, t), grid, 0.0)
-    assert abs(moment_p(st, 1) - PP.p0) < 1e-8
+    assert abs(moment_p(st, 1, hbar=1.0) - PP.p0) < 1e-8
 
 
 def test_moment_p_rejects_bad_order():
     grid = GridSpec(-1.0, 7)
     st = GridState(grid, np.zeros(7, dtype=complex), 0.0)
     with pytest.raises(ValueError):
-        moment_p(st, 3)
+        moment_p(st, 3, hbar=1.0)
 
 
 def test_moment_p_unresolved_grid_raises():
@@ -176,7 +176,7 @@ def test_moment_p_unresolved_grid_raises():
     grid = GridSpec(-60.0, 601, 0.0)  # ~6 points per carrier wavelength
     st = sample(lambda x, t: psi_bouncer(bp, x, t), grid, 2.0)
     with pytest.raises(StencilConvergenceError):
-        moment_p(st, 2)
+        moment_p(st, 2, hbar=1.0)
 
 
 def test_moment_p_custom_hbar():
@@ -184,6 +184,18 @@ def test_moment_p_custom_hbar():
     grid = full_line_grid(p, 0.0, 0.0)
     st = sample(lambda x, t: psi_free(p, x, t), grid, 0.0)
     assert abs(moment_p(st, 1, hbar=2.0) - p.p0) < 1e-8
+
+
+def test_units_cannot_be_left_out():
+    # with a default hbar = 1 this state (p0 = 4, hbar = 2) read <p> = 2
+    p = PacketParams(x0=-5.0, p0=4.0, alpha=1.0, hbar=2.0)
+    st = sample(lambda x, t: psi_free(p, x, t), full_line_grid(p, 0.0, 0.0), 0.0)
+    with pytest.raises(TypeError):
+        moment_p(st, 1)
+    with pytest.raises(TypeError):
+        propagate(st, 1e-3, 1)
+    with pytest.raises(TypeError):
+        propagate(st, 1e-3, 1, hbar=2.0)
 
 
 # ------------------------------------------------------------------ overlap
@@ -215,7 +227,7 @@ def test_overlap_grid_mismatch():
 def test_propagate_zero_state_stays_zero():
     grid = GridSpec(-10.0, 201, 0.0)
     st = GridState(grid, np.zeros(201, dtype=complex), 0.0)
-    out = propagate(st, 1e-3, 50)
+    out = propagate(st, 1e-3, 50, hbar=1.0, mass=1.0)
     assert np.all(out.values == 0)
     assert out.time == pytest.approx(0.05)
 
@@ -224,12 +236,12 @@ def test_propagate_validates_arguments():
     grid = GridSpec(-10.0, 201, 0.0)
     st = GridState(grid, np.zeros(201, dtype=complex), 0.0)
     with pytest.raises(ValueError):
-        propagate(st, 0.0, 10)
+        propagate(st, 0.0, 10, hbar=1.0, mass=1.0)
     with pytest.raises(ValueError):
-        propagate(st, 1e-3, -1)
+        propagate(st, 1e-3, -1, hbar=1.0, mass=1.0)
     bad = GridState(grid, np.full(201, np.nan, dtype=complex), 0.0)
     with pytest.raises(PropagationError):
-        propagate(bad, 1e-3, 1)
+        propagate(bad, 1e-3, 1, hbar=1.0, mass=1.0)
 
 
 @pytest.mark.parametrize("n_points", [3, 5, 41])
@@ -265,14 +277,14 @@ def test_propagate_refuses_state_nonzero_at_wall_end():
     st = sample(lambda x, t: psi_free(PacketParams(x0=-2.0, p0=1.0, alpha=1.0), x, t), grid, 0.0)
     assert abs(st.values[-1]) > 0.05
     with pytest.raises(TailCaptureError, match=r"psi\(x_max\)"):
-        propagate(st, 1e-3, 10)
+        propagate(st, 1e-3, 10, hbar=1.0, mass=1.0)
 
 
 def test_propagate_norm_conserved_ten_thousand_steps():
     bp = BouncerParams(DEMO)
     grid = GridSpec(-30.0, 3001, 0.0)
     st = sample(lambda x, t: psi_bouncer(bp, x, t), grid, 0.0)
-    out = propagate(st, 1e-3, 10_000)
+    out = propagate(st, 1e-3, 10_000, hbar=1.0, mass=1.0)
     assert abs(moment_x(out, 0) - 1.0) < 1e-10
 
 
@@ -280,7 +292,9 @@ def test_propagate_time_reversible():
     bp = BouncerParams(DEMO)
     grid = GridSpec(-30.0, 3001, 0.0)
     st = sample(lambda x, t: psi_bouncer(bp, x, t), grid, 0.0)
-    roundtrip = propagate(propagate(st, 1e-3, 500), -1e-3, 500)
+    roundtrip = propagate(
+        propagate(st, 1e-3, 500, hbar=1.0, mass=1.0), -1e-3, 500, hbar=1.0, mass=1.0
+    )
     assert _l2(roundtrip.values, st.values, grid.h) < 1e-10
 
 
@@ -291,11 +305,11 @@ def test_propagate_discrete_ehrenfest_one_interval():
     st = sample(lambda x, t: psi_bouncer(bp, x, t), grid, 0.4)
     dt = 1e-3
     steps = 40
-    out = propagate(st, dt, steps)
+    out = propagate(st, dt, steps, hbar=1.0, mass=1.0)
     x0_, x1_ = moment_x(st, 1), moment_x(out, 1)
-    mid = propagate(st, dt, steps // 2)
+    mid = propagate(st, dt, steps // 2, hbar=1.0, mass=1.0)
     fd = bp.base.mass * (x1_ - x0_) / (dt * steps)
-    assert abs(fd - moment_p(mid, 1, rtol=1e-4)) < 1e-5
+    assert abs(fd - moment_p(mid, 1, hbar=1.0, rtol=1e-4)) < 1e-5
 
 
 def test_propagate_matches_closed_form_through_bounce():
@@ -308,6 +322,6 @@ def test_propagate_matches_closed_form_through_bounce():
     grid = GridSpec(bp.base.x0 - pad, n, 0.0)
     st = sample(lambda x, t: psi_bouncer(bp, x, t), grid, 0.0)
     dt = bp.base.t0 / 1000.0
-    out = propagate(st, dt, int(round(T / dt)))
+    out = propagate(st, dt, int(round(T / dt)), hbar=1.0, mass=1.0)
     exact = sample(lambda x, t: psi_bouncer(bp, x, t), grid, out.time)
     assert _l2(out.values, exact.values, grid.h) < 5e-4

@@ -113,8 +113,8 @@ def test_free_moments_vs_quadrature():
     m = free_moments(PP, t)
     assert abs(moment_x(state, 2) - m.x2_mean) < 1e-9
     assert abs(moment_x(state, 1) - m.x_mean) < 1e-9
-    assert abs(moment_p(state, 1) - m.p_mean) < 1e-8
-    assert abs(moment_p(state, 2) - m.p2_mean) < 1e-8
+    assert abs(moment_p(state, 1, hbar=1.0) - m.p_mean) < 1e-8
+    assert abs(moment_p(state, 2, hbar=1.0) - m.p2_mean) < 1e-8
 
 
 def test_normalization_preserved_over_time():
