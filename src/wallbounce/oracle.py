@@ -8,6 +8,12 @@ internal convergence estimate, and time evolution is an unconditionally
 stable, exactly norm-preserving Cayley (implicit midpoint) step of the
 free Hamiltonian with hard-wall (Dirichlet) ends.
 
+A quadrature is formed from strided slice sums of its integrand, with
+the rule's weights applied to the sums, so no weight array is built.
+Every sum is numpy's pairwise .sum(), never dot/vdot/einsum/matmul: a
+BLAS reduction rounds differently with the number of threads, which
+would make output bytes depend on the host's core count.
+
 Spatial derivatives inside the Cayley step use a 4th-order compact
 (Numerov-type) correction, which pushes the spatial phase error to
 O(h**4); the time error is the usual O(dt**2), which dominates on the
@@ -134,24 +140,31 @@ def sample(wavefn, grid: GridSpec, t: float) -> GridState:
     return GridState(grid, values, t)
 
 
-def _quadrature_weights(grid: GridSpec, rule: str) -> np.ndarray:
-    h = grid.h
+def _weighted_sum(f: np.ndarray, h: float, rule: str = "simpson"):
+    """Int f dx by a composite rule on spacing h.
+
+    Simpson is (f[0] + f[-1] + 4*sum(f[1:-1:2]) + 2*sum(f[2:-1:2])) * h/3:
+    the weights scale pairwise slice sums, so no weight array is built.
+    """
     if rule == "simpson":
-        w = np.ones(grid.n_points)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return w * (h / 3.0)
+        return (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()) * (h / 3.0)
     if rule == "trapezoid":
-        w = np.full(grid.n_points, h)
-        w[0] = w[-1] = 0.5 * h
-        return w
+        return (0.5 * (f[0] + f[-1]) + f[1:-1].sum()) * h
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
-def _check_tails(state: GridState):
+def _abs2(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|v|^2 as re^2 + im^2 into out."""
+    np.square(v.real, out=out)
+    out += np.square(v.imag)
+    return out
+
+
+def _check_tails(state: GridState) -> float:
+    """Raise TailCaptureError unless the state is negligible at both ends; return max|psi|."""
     amax = float(np.max(np.abs(state.values)))
     if amax == 0.0:
-        return
+        return amax
     # both ends: on a half-line grid x_max is the wall, where a mirror state
     # is exactly zero, so a state that is not zero there is not one
     grid = state.grid
@@ -163,6 +176,7 @@ def _check_tails(state: GridState):
                 f"{TAIL_RTOL:g} * max|psi| = {TAIL_RTOL * amax:.3e}; widen the grid "
                 f"(e.g. {label} {'<=' if end == 0 else '>='} {wider:.6g})"
             )
+    return amax
 
 
 def moment_x(state: GridState, order: int, rule: str = "simpson") -> float:
@@ -174,32 +188,12 @@ def moment_x(state: GridState, order: int, rule: str = "simpson") -> float:
     if order < 0 or int(order) != order:
         raise ValueError(f"order must be a nonnegative integer, got {order!r}")
     _check_tails(state)
-    x = state.grid.points()
-    density = np.abs(state.values) ** 2
-    w = _quadrature_weights(state.grid, rule)
-    if order == 0:
-        return float(np.sum(w * density))
-    return float(np.sum(w * x ** int(order) * density))
-
-
-def _derivative_o4(v: np.ndarray, h: float) -> np.ndarray:
-    """First derivative, 4th-order central stencils with 4th-order one-sided ends."""
-    d = np.empty_like(v)
-    d[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    d[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
-    d[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / (12.0 * h)
-    d[-1] = (25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]) / (12.0 * h)
-    d[-2] = (3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]) / (12.0 * h)
-    return d
-
-
-def _derivative_o2(v: np.ndarray, h: float) -> np.ndarray:
-    """First derivative, 2nd-order; used only to estimate stencil convergence."""
-    d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return d
+    density = _abs2(state.values, np.empty(state.grid.n_points))
+    if order:
+        x = state.grid.points()
+        for _ in range(int(order)):
+            density *= x
+    return float(_weighted_sum(density, state.grid.h, rule))
 
 
 def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -> float:
@@ -207,32 +201,57 @@ def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -
 
     order 1 returns Re Int psi* (hbar/i) psi' dx; order 2 returns
     hbar**2 Int |psi'|^2 dx (the boundary term vanishes because the
-    state is zero at the wall / in the tails).  The result is checked
-    against a 2nd-order stencil: their difference estimates the
+    state is zero at the wall / in the tails).  psi' is taken with 4th-
+    order central stencils and 4th-order one-sided ends.  The result is
+    checked against a 2nd-order stencil: their difference estimates the
     low-order error, from which the 4th-order error is extrapolated;
     StencilConvergenceError is raised if that estimate exceeds
     rtol * scale.
+
+    One array holds the unscaled differences: first the 2nd-order
+    v[j+1] - v[j-1], whose sums are taken, then, in place, the 4th-order
+    8*(v[j+1] - v[j-1]) - (v[j+2] - v[j-2]).  The factors 1/(2h), 1/(12h)
+    and hbar multiply the Simpson sums, not the arrays, and every sum is
+    a pairwise numpy sum (no BLAS), so the result does not depend on the
+    host's thread count.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
     if state.grid.n_points < 5:
         raise ValueError("momentum moments need at least 5 grid points")
-    _check_tails(state)
-    v = state.values
-    if not np.any(v):
+    if _check_tails(state) == 0.0:
         return 0.0
+    v = state.values
     h = state.grid.h
-    w = _quadrature_weights(state.grid, "simpson")
-    d4 = _derivative_o4(v, h)
-    d2 = _derivative_o2(v, h)
+    # d = 2h * psi' to 2nd order, with 2nd-order one-sided ends
+    d = np.empty_like(v)
+    np.subtract(v[2:], v[:-2], out=d[1:-1])
+    d[0] = -3.0 * v[0] + 4.0 * v[1] - v[2]
+    d[-1] = 3.0 * v[-1] - 4.0 * v[-2] + v[-3]
+    work = np.empty_like(v)
+    abs2 = np.empty(v.size)
     if order == 1:
-        m4 = hbar * float(np.sum(w * np.imag(np.conj(v) * d4)))
-        m2 = hbar * float(np.sum(w * np.imag(np.conj(v) * d2)))
-        # momentum scale for near-zero means, from the same derivative data
-        scale = max(abs(m4), hbar * math.sqrt(abs(float(np.sum(w * np.abs(d4) ** 2)))))
+        conj_v = np.conj(v)
+        sum2 = float(_weighted_sum(np.multiply(conj_v, d, out=work).imag, h))
     else:
-        m4 = hbar**2 * float(np.sum(w * np.abs(d4) ** 2))
-        m2 = hbar**2 * float(np.sum(w * np.abs(d2) ** 2))
+        sum2 = float(_weighted_sum(_abs2(d, abs2), h))
+    # in place, d = 12h * psi' to 4th order, with 4th-order one-sided ends
+    inner = d[2:-2]
+    inner *= 8.0
+    inner -= np.subtract(v[4:], v[:-4], out=work[2:-2])
+    d[0] = -25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]
+    d[1] = -3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]
+    d[-2] = 3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]
+    d[-1] = 25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]
+    sum4_abs2 = float(_weighted_sum(_abs2(d, abs2), h))
+    if order == 1:
+        m4 = hbar * float(_weighted_sum(np.multiply(conj_v, d, out=work).imag, h)) / (12.0 * h)
+        m2 = hbar * sum2 / (2.0 * h)
+        # momentum scale for near-zero means, from the same derivative data
+        scale = max(abs(m4), hbar * math.sqrt(abs(sum4_abs2)) / (12.0 * h))
+    else:
+        m4 = hbar**2 * sum4_abs2 / (12.0 * h) ** 2
+        m2 = hbar**2 * sum2 / (2.0 * h) ** 2
         scale = abs(m4)
     if scale > 0.0:
         # second-order error ~ (m2 - m4); fourth-order error ~ 1.2 * e2^2/scale,
@@ -250,8 +269,9 @@ def overlap(a: GridState, b: GridState) -> complex:
     """Simpson quadrature of Int a* b dx; grids must be identical."""
     if a.grid != b.grid:
         raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
-    w = _quadrature_weights(a.grid, "simpson")
-    return complex(np.sum(w * np.conj(a.values) * b.values))
+    product = np.conj(a.values)
+    product *= b.values
+    return complex(_weighted_sum(product, a.grid.h))
 
 
 def _dst1(v: np.ndarray) -> np.ndarray:

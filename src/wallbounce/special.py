@@ -114,11 +114,14 @@ def psi_wall_packet(sp: PacketParams, x, t: float):
 
     Vanishes identically for x >= 0 and at the wall for all t, so it is
     an exact bouncing solution in its own right; the sqrt(2) restores
-    unit norm on the half-line.
+    unit norm on the half-line.  Evaluated as sqrt(2) times the node
+    packet at min(x, 0), whose factor min(x, 0) is exactly 0 beyond the
+    wall, so no select is needed and the values keep the rounding of
+    sqrt(2) * psi_node_packet.
     """
     _require_zero_offset(sp)
-    x = np.asarray(x, dtype=float)
-    out = np.where(x <= 0.0, math.sqrt(2.0) * psi_node_packet(sp, x, t), 0.0 + 0.0j)
+    out = psi_node_packet(sp, np.minimum(np.asarray(x, dtype=float), 0.0), t)
+    out *= math.sqrt(2.0)
     return out[()]
 
 

@@ -321,3 +321,75 @@ def test_stdout_output(capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("# command=autocorr")
 
+
+
+#: one argument made bad, and the exit code it must give
+BAD_VALUES = [
+    (["--alpha", "-1"], 2),
+    (["--hbar", "0"], 2),
+    (["--mass", "-2"], 2),
+    (["--nt", "0"], 2),
+    (["--tmax", "inf"], 2),
+    (["--tmin", "nan"], 2),
+    (["--tmin", "2", "--tmax", "1"], 2),
+    (["--xmin", "-20"], 2),  # without --nx
+    (["--xmin", "-20", "--nx", "1000"], 2),  # even
+    (["--xmin", "5", "--nx", "101"], 2),  # x_min >= x_max
+    (["--tmax", "1e4"], 2),  # the automatic grid is over budget
+    (["--x0", "2"], 2),  # the wall packet and the bouncer sit at x <= 0
+]
+
+
+def _sweep_requests(n=40, seed=20261018):
+    """Seeded budget-sized CLI requests: every command and kind, custom units,
+    time windows on both sides of t = 0, and about a third with a bad value."""
+    rng = np.random.default_rng(seed)
+    kinds = ["free", "free-node", "bouncer", "wall"]
+    for command in rng.permutation(np.repeat(["density", "moments", "autocorr", "validate"], n // 4)):
+        command = str(command)
+        if command == "validate":
+            ids = rng.choice(["C03", "C09", "C10", "C99", " "], size=rng.integers(1, 3), replace=False)
+            argv = ["validate", "--criteria", ",".join(ids)]
+            if rng.random() < 0.2:  # too narrow for C02: a numerical failure
+                argv = ["validate", "--criteria", "C02", "--xmin", "-20", "--nx", "4001"]
+            yield argv
+            continue
+        kind = kinds[rng.integers(4)]
+        argv = [command, "--kind", kind]
+        if kind != "wall":
+            argv += ["--x0", f"{rng.uniform(-6.0, -1.0):.3f}", "--p0", f"{rng.uniform(0.5, 4.0):.3f}"]
+        argv += ["--alpha", f"{rng.uniform(0.7, 1.5):.3f}"]
+        if rng.random() < 0.5:
+            argv += ["--hbar", f"{rng.uniform(0.6, 1.6):.3f}", "--mass", f"{rng.uniform(0.6, 1.6):.3f}"]
+        tmin = rng.uniform(-1.0, 1.0) if rng.random() < 0.5 else 0.0
+        argv += ["--tmin", f"{tmin:.3f}", "--tmax", f"{tmin + rng.uniform(0.0, 3.0):.3f}"]
+        argv += ["--nt", str(rng.integers(1, 4)), "--format", ["csv", "json"][rng.integers(2)]]
+        if rng.random() < 0.35:
+            bad, _ = BAD_VALUES[rng.integers(len(BAD_VALUES))]
+            argv += bad
+        elif command == "moments" and rng.random() < 0.4:
+            argv += ["--xmin", "-2", "--nx", "1001"]  # cuts the packet: a numerical failure
+        yield argv
+
+
+def test_exit_code_sweep(tmp_path, capsys):
+    # every request exits 0, 1 or 2 without raising; a failure says why in
+    # one stderr line (besides validate's "running ..." progress lines)
+    # and leaves no output file unless it is a validate report
+    out = tmp_path / "out.dat"
+    codes = []
+    for argv in _sweep_requests():
+        try:
+            code = main(argv + ["--out", str(out)])
+        except BaseException as exc:  # SystemExit included
+            pytest.fail(f"{argv} raised {exc!r}")
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("running C")]
+        assert code in (0, 1, 2), argv
+        if code:
+            assert len(err) == 1, (argv, err)
+            assert out.exists() == (argv[0] == "validate" and code == 1), argv
+        else:
+            assert out.stat().st_size > 0
+        out.unlink(missing_ok=True)
+        codes.append(code)
+    assert len(codes) == 40 and set(codes) == {0, 1, 2}

@@ -101,7 +101,24 @@ def test_closed_forms_match_reference_formulas():
             _assert_close(got, ref_psi_bouncer(bp, x, t))
             assert np.all(got[x >= 0.0] == 0.0)
             wall = SpecialParams(beta=p.beta, hbar=p.hbar, mass=p.mass)
-            _assert_close(psi_wall_packet(wall, x, t), ref_psi_wall(wall, x, t))
+            got_wall = psi_wall_packet(wall, x, t)
+            _assert_close(got_wall, ref_psi_wall(wall, x, t))
+            assert np.all(got_wall[x >= 0.0] == 0.0)
+
+
+def test_wall_packet_rounds_as_scaled_node_packet():
+    # the wall packet is evaluated without a select, but rounded exactly as
+    # sqrt(2) * psi_node_packet on x <= 0, so densities keep every byte
+    for p, t, x in _random_cases(n=60, seed=7):
+        wall = SpecialParams(beta=p.beta, hbar=p.hbar, mass=p.mass)
+        want = np.where(x <= 0.0, math.sqrt(2.0) * psi_node_packet(wall, x, t), 0.0)
+        got = psi_wall_packet(wall, x, t)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.abs(got) ** 2, np.abs(want) ** 2)
+    wall = SpecialParams(beta=1.0)
+    assert psi_wall_packet(wall, 0.0, 1.0) == 0.0
+    assert psi_wall_packet(wall, 3.0, 1.0) == 0.0
+    assert psi_wall_packet(wall, -1.0, 1.0) == math.sqrt(2.0) * psi_node_packet(wall, -1.0, 1.0)
 
 
 @pytest.mark.parametrize("z", [1e-2, 1e-6, 1e-12, 1e-20, 1e-28, 1e-100, 1e-300])
