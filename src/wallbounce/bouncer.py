@@ -11,9 +11,8 @@ round-off for every phase-space distance z > 0.  Because the difference
 is odd in x, every integral of an even quantity over the half-line
 equals half the full-line integral, which is what makes the
 normalization N, the even moments ``<x^2>`` and ``<p^2>``, and the
-autocorrelation available in closed form.  Odd moments only admit
-near-collision expansions; the exact values are left to the numerical
-oracle.
+autocorrelation available in closed form.  Odd moments are not given in
+closed form here; the exact values are left to the numerical oracle.
 
 Geometry convention: the physical packet lives at x <= 0, so constructors
 require x0 <= 0, and p0 > 0 means "moving toward the wall".  The

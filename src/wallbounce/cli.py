@@ -7,13 +7,12 @@ Exit codes: 0 success, 1 validation/numerical failure, 2 bad arguments.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable, NamedTuple
 
@@ -53,10 +52,6 @@ SCHEMA_VERSION = 1
 #: rows joined into one write: a density chunk then stays near 50 kB, small
 #: enough for the allocator to reuse one block instead of mapping fresh pages
 _ROWS_PER_WRITE = 512
-_CONFIG_KEYS = {
-    "kind", "x0", "p0", "alpha", "hbar", "mass",
-    "tmin", "tmax", "nt", "xmin", "nx", "format", "out",
-}
 
 
 class _Kind(NamedTuple):
@@ -117,23 +112,58 @@ class CliError(Exception):
     """Bad arguments or configuration (exit code 2)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises CliError where argparse would print its
+    usage and exit, so every rejected input is one line and exit code 2."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
+_PHYSICS = ("density", "moments", "autocorr")
+_ALL = _PHYSICS + ("validate",)
+#: every option: the commands that take it and its add_argument keywords.
+#: A config file's keys are the same names, except config itself.
+_OPTIONS = {
+    "kind": (_PHYSICS, dict(choices=KINDS, default="bouncer", help="solution family (default bouncer)")),
+    "x0": (_PHYSICS, dict(type=float, help="initial center (default -10)")),
+    "p0": (_PHYSICS, dict(type=float, help="initial momentum (default 5)")),
+    "alpha": (_PHYSICS, dict(type=float, default=1.0, help="momentum-space width parameter (default 1)")),
+    "hbar": (_PHYSICS, dict(type=float, default=1.0, help="action quantum (default 1)")),
+    "mass": (_PHYSICS, dict(type=float, default=1.0, help="mass (default 1)")),
+    "tmin": (_PHYSICS, dict(type=float, default=0.0, help="first time (default 0)")),
+    "tmax": (_PHYSICS, dict(type=float, help="last time (default: twice the collision time)")),
+    "nt": (_PHYSICS, dict(type=int, help="number of time samples")),
+    "xmin": (_ALL, dict(type=float, help="grid left edge override")),
+    "nx": (_ALL, dict(type=int, help="grid point count override (odd)")),
+    "format": (_ALL, dict(choices=("csv", "json"), default="csv", help="output format (default csv)")),
+    "out": (_ALL, dict(default="-", help="output path, '-' for stdout (default)")),
+    "config": (_ALL, dict(help="key=value config file; flags override it")),
+    "criteria": (("validate",), dict(help="comma-separated criterion ids to run (default: all)")),
+}
+
+
 @dataclass
 class RunConfig:
+    """One checked request; validate leaves the physics fields at None."""
+
     command: str
-    kind: str
-    params: PacketParams
-    tmin: float
-    tmax: float
-    nt: int
-    xmin: float | None
-    nx: int | None
     format: str
     out: str
+    xmin: float | None
+    nx: int | None
+    kind: str | None = None
+    params: PacketParams | None = None
+    tmin: float | None = None
+    tmax: float | None = None
+    nt: int | None = None
     criteria: list[str] | None = None
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
+def _config_tokens(command: str, path: str) -> list[str]:
+    """The key=value lines of a config file as --key=value flags of command."""
+    keys = {name for name, (commands, _) in _OPTIONS.items() if command in commands} - {"config"}
+    tokens = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -144,41 +174,38 @@ def _load_config_file(path: str) -> dict:
                     raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in _CONFIG_KEYS:
-                    raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = value.strip()
+                if key not in keys:
+                    raise CliError(f"{path}:{lineno}: unknown key {key!r} for {command}")
+                tokens.append(f"--{key}={value.strip()}")
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
-    return values
+    return tokens
 
 
 def _resolve(args) -> RunConfig:
-    file_values = _load_config_file(args.config) if args.config else {}
+    """Check the parsed flags and fill in the defaults that depend on other values."""
+    if (args.xmin is None) != (args.nx is None):
+        raise CliError("--xmin and --nx must be given together")
+    common = (args.command, args.format, args.out, args.xmin, args.nx)
+    if args.command == "validate":
+        criteria = None
+        if args.criteria is not None:
+            criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
+            if not criteria:
+                raise CliError(f"--criteria names no criterion; choose from {', '.join(CRITERION_IDS)}")
+            unknown = set(criteria) - set(CRITERION_IDS)
+            if unknown:
+                raise CliError(f"unknown criteria: {', '.join(sorted(unknown))}")
+        return RunConfig(*common, criteria=criteria)
 
-    def pick(name, cast, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            try:
-                return cast(file_values[name])
-            except ValueError as exc:
-                raise CliError(f"config value {name}={file_values[name]!r}: {exc}") from exc
-        return default
-
-    kind = pick("kind", str, "bouncer")
-    if kind not in KINDS:
-        raise CliError(f"unknown kind {kind!r}; choose from {', '.join(KINDS)}")
+    kind = args.kind
     # the wall packet is pinned at the origin; other kinds default to a
     # representative bouncing configuration (offset -10 beta, momentum 5)
     default_x0, default_p0 = (0.0, 0.0) if kind == "wall" else (-10.0, 5.0)
-    x0 = pick("x0", float, default_x0)
-    p0 = pick("p0", float, default_p0)
-    alpha = pick("alpha", float, 1.0)
-    hbar = pick("hbar", float, 1.0)
-    mass = pick("mass", float, 1.0)
+    x0 = default_x0 if args.x0 is None else args.x0
+    p0 = default_p0 if args.p0 is None else args.p0
     try:
-        params = PacketParams(x0=x0, p0=p0, alpha=alpha, hbar=hbar, mass=mass)
+        params = PacketParams(x0=x0, p0=p0, alpha=args.alpha, hbar=args.hbar, mass=args.mass)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if kind == "wall" and (x0 != 0.0 or p0 != 0.0):
@@ -191,45 +218,22 @@ def _resolve(args) -> RunConfig:
                 "kind=bouncer is degenerate at x0 = p0 = 0; use kind=wall instead"
             )
 
-    tc = -mass * x0 / p0 if (x0 < 0.0 and p0 > 0.0) else None
+    tc = -params.mass * x0 / p0 if (x0 < 0.0 and p0 > 0.0) else None
     default_tmax = 2.0 * tc if (kind == "bouncer" and tc is not None) else 4.0 * params.t0
-    tmin = pick("tmin", float, 0.0)
-    tmax = pick("tmax", float, default_tmax)
-    nt = pick("nt", int, 9 if args.command == "density" else 33)
+    tmin = args.tmin
+    tmax = default_tmax if args.tmax is None else args.tmax
+    nt = (9 if args.command == "density" else 33) if args.nt is None else args.nt
     if not (math.isfinite(tmin) and math.isfinite(tmax)):
         raise CliError(f"tmin and tmax must be finite, got tmin = {tmin}, tmax = {tmax}")
     if tmin > tmax:
         raise CliError(f"tmin = {tmin} must be <= tmax = {tmax}")
     if nt < 1:
         raise CliError(f"nt must be >= 1, got {nt}")
-    xmin = pick("xmin", float, None)
-    nx = pick("nx", int, None)
-    if (xmin is None) != (nx is None):
-        raise CliError("--xmin and --nx must be given together")
-    fmt = pick("format", str, "csv")
-    if fmt not in ("csv", "json"):
-        raise CliError(f"unknown format {fmt!r}; choose csv or json")
-    out = pick("out", str, "-")
-    criteria = None
-    if getattr(args, "criteria", None) is not None:
-        criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
-        if not criteria:
-            raise CliError(f"--criteria names no criterion; choose from {', '.join(CRITERION_IDS)}")
-        unknown = set(criteria) - set(CRITERION_IDS)
-        if unknown:
-            raise CliError(f"unknown criteria: {', '.join(sorted(unknown))}")
-    return RunConfig(
-        command=args.command, kind=kind, params=params, tmin=tmin, tmax=tmax, nt=nt,
-        xmin=xmin, nx=nx, format=fmt, out=out, criteria=criteria,
-    )
+    return RunConfig(*common, kind, params, tmin, tmax, nt)
 
 
 def _wavefunction(cfg: RunConfig):
     return partial(_KINDS[cfg.kind].psi, cfg.params)
-
-
-def _invalid_grid(exc: ValueError) -> CliError:
-    return CliError(f"invalid grid: {exc}; choose one with --xmin and an odd --nx")
 
 
 def _grid(
@@ -242,7 +246,8 @@ def _grid(
         t_lo = cfg.tmin
     if t_hi is None:
         t_hi = cfg.tmax
-    half_line = _KINDS[cfg.kind].half_line
+    # validate's --xmin/--nx grid is for its gates on the half line
+    half_line = cfg.kind is None or _KINDS[cfg.kind].half_line
     try:
         if cfg.xmin is not None:
             return GridSpec(cfg.xmin, cfg.nx, 0.0 if half_line else -cfg.xmin)
@@ -251,7 +256,7 @@ def _grid(
             return half_line_grid(cfg.params, t_edge, points_per_beta=points_per_beta)
         return full_line_grid(cfg.params, t_lo, t_hi, points_per_beta=points_per_beta)
     except ValueError as exc:
-        raise _invalid_grid(exc) from exc
+        raise CliError(f"invalid grid: {exc}; choose one with --xmin and an odd --nx") from exc
 
 
 def _times(cfg: RunConfig) -> list[float]:
@@ -259,22 +264,22 @@ def _times(cfg: RunConfig) -> list[float]:
 
 
 def _metadata(cfg: RunConfig, grid: GridSpec | None) -> dict:
+    """How the output was made; validate, which has no physics flags, has no params."""
+    meta = {"schema_version": SCHEMA_VERSION, "command": cfg.command}
+    hbar = mass = 1.0
     p = cfg.params
-    natural = p.hbar == 1.0 and p.mass == 1.0
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "command": cfg.command,
-        "params": {
+    if p is not None:
+        hbar, mass = p.hbar, p.mass
+        meta["params"] = {
             "kind": cfg.kind, "x0": p.x0, "p0": p.p0, "alpha": p.alpha,
             "hbar": p.hbar, "mass": p.mass,
             "tmin": cfg.tmin, "tmax": cfg.tmax, "nt": cfg.nt,
-        },
-        "units": {
-            "system": "natural (hbar = mass = 1)" if natural else "custom",
-            "hbar": p.hbar,
-            "mass": p.mass,
-            "columns": {"t": "time", "x": "length", "density": "1/length"},
-        },
+        }
+    meta["units"] = {
+        "system": "natural (hbar = mass = 1)" if hbar == 1.0 and mass == 1.0 else "custom",
+        "hbar": hbar,
+        "mass": mass,
+        "columns": {"t": "time", "x": "length", "density": "1/length"},
     }
     if grid is not None:
         meta["grid"] = {"x_min": grid.x_min, "x_max": grid.x_max, "n_points": grid.n_points}
@@ -298,21 +303,29 @@ def _floats(values) -> list | None:
     return values if all(type(v) is float for v in values) else None
 
 
-def _csv_column(values) -> tuple[list[str], bool]:
-    """CSV fields of one column, and whether they are all floats (never quoted)."""
+def _csv_field(text: str) -> str:
+    """A CSV field as csv.writer's QUOTE_MINIMAL writes it: quoted, with inner
+    quotes doubled, when it holds a comma, a quote, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_column(values) -> list[str]:
+    """CSV fields of one column; floats never need quotes."""
     floats = _floats(values)
     if floats is None:
-        return list(map(_fmt_value, values)), False
-    return list(map("%.17g".__mod__, floats)), True
+        return [_csv_field(_fmt_value(v)) for v in values]
+    return list(map("%.17g".__mod__, floats))
 
 
-def _json_column(values) -> tuple[list[str], bool]:
+def _json_column(values) -> list[str]:
     """JSON texts of one column: finite floats by float.__repr__, as json writes
-    them, anything else by json.dumps; and whether they are all finite floats."""
+    them, anything else by json.dumps."""
     floats = _floats(values)
     if floats is not None and all(map(math.isfinite, floats)):
-        return list(map(float.__repr__, floats)), True
-    return list(map(json.dumps, values)), False
+        return list(map(float.__repr__, floats))
+    return list(map(json.dumps, values))
 
 
 def _write(cfg: RunConfig, blocks: Iterable[dict], meta: dict, stream):
@@ -339,7 +352,7 @@ def _write(cfg: RunConfig, blocks: Iterable[dict], meta: dict, stream):
         stream.write(head)
         keys = (json.dumps(name).replace("%", "%%") for name in names)
         row = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
-        opened = False  # whether "[" and a first record are written
+        format_column, lead, sep = _json_column, "[\n", ",\n"
     else:
         for key in ("command", "schema_version"):
             stream.write(f"# {key}={meta[key]}\r\n")
@@ -348,38 +361,27 @@ def _write(cfg: RunConfig, blocks: Iterable[dict], meta: dict, stream):
                 parts = ",".join(f"{k}={_fmt_value(v)}" for k, v in meta[section].items())
                 stream.write(f"# {section}: {parts}\r\n")
         stream.write(f"# units: {meta['units']['system']}\r\n")
-        writer = csv.writer(stream, lineterminator="\r\n")
-        writer.writerow(names)
+        stream.write(",".join(map(_csv_field, names)) + "\r\n")
         row = ",".join(["%s"] * len(names)) + "\r\n"
-    format_column = _json_column if json_out else _csv_column
-    formatted = {}  # name -> (column, its texts, all floats)
+        format_column, lead, sep = _csv_column, "", ""
+    formatted = {}  # name -> (column, its texts)
     for block in chain((first,), blocks):
-        texts, plain = [], True
+        texts = []
         for name, values in block.items():
             if isinstance(values, (list, tuple, np.ndarray)):
                 if formatted.get(name, (None,))[0] is not values:
-                    formatted[name] = (values, *format_column(values))
-                _, text, floats = formatted[name]
+                    formatted[name] = (values, format_column(values))
+                texts.append(formatted[name][1])
             else:
-                (one,), floats = format_column([values])
-                text = repeat(one)
-            texts.append(text)
-            plain = plain and floats
-        rows = zip(*texts)
-        if json_out:
-            lines = map(row.__mod__, rows)
-            while chunk := ",\n".join(islice(lines, _ROWS_PER_WRITE)):
-                stream.write(",\n" if opened else "[\n")
-                stream.write(chunk)
-                opened = True
-        elif plain:
-            lines = map(row.__mod__, rows)
-            while chunk := "".join(islice(lines, _ROWS_PER_WRITE)):
-                stream.write(chunk)
-        else:
-            writer.writerows(rows)  # quotes str fields as RFC 4180 asks
+                texts.append(repeat(format_column([values])[0]))
+        lines = map(row.__mod__, zip(*texts))
+        # lead goes before the first chunk of records, sep before each later one
+        while chunk := sep.join(islice(lines, _ROWS_PER_WRITE)):
+            stream.write(lead)
+            stream.write(chunk)
+            lead = sep
     if json_out:
-        stream.write(("\n  ]" if opened else "[]") + tail + "\n")
+        stream.write(("[]" if lead == "[\n" else "\n  ]") + tail + "\n")
 
 
 def cmd_density(cfg: RunConfig, stream) -> int:
@@ -444,12 +446,8 @@ def cmd_autocorr(cfg: RunConfig, stream) -> int:
 
 
 def cmd_validate(cfg: RunConfig, stream) -> int:
-    try:
-        override = GridSpec(cfg.xmin, cfg.nx, 0.0) if cfg.xmin is not None else None
-    except ValueError as exc:
-        raise _invalid_grid(exc) from exc
     results = run_all(
-        grid_override=override,
+        grid_override=_grid(cfg) if cfg.xmin is not None else None,
         criteria=cfg.criteria,
         progress=lambda msg: print(msg, file=sys.stderr),
     )
@@ -469,8 +467,19 @@ def cmd_validate(cfg: RunConfig, stream) -> int:
     return 1 if failed else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+#: every command: its handler and its help line
+_COMMANDS = {
+    "density": (cmd_density, "probability-density snapshots (t, x, |psi|^2)"),
+    "moments": (cmd_moments, "moment time-series: numeric vs closed-form columns"),
+    "autocorr": (cmd_autocorr, "autocorrelation, closed form plus numeric overlap"),
+    "validate": (cmd_validate, "run the acceptance criteria and report pass/fail"),
+}
+
+
+@cache
+def _parser() -> _Parser:
+    """The argument parser of _COMMANDS and _OPTIONS, built once per process."""
+    parser = _Parser(
         prog="wallbounce",
         description=(
             "Gaussian wave packets against a hard wall at x = 0: evaluate "
@@ -479,33 +488,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "density": "probability-density snapshots (t, x, |psi|^2)",
-        "moments": "moment time-series: numeric vs closed-form columns",
-        "autocorr": "autocorrelation, closed form plus numeric overlap",
-        "validate": "run the acceptance criteria and report pass/fail",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--kind", choices=KINDS, help="solution family (default bouncer)")
-        p.add_argument("--x0", type=float, help="initial center (default -10)")
-        p.add_argument("--p0", type=float, help="initial momentum (default 5)")
-        p.add_argument("--alpha", type=float, help="momentum-space width parameter (default 1)")
-        p.add_argument("--hbar", type=float, help="action quantum (default 1)")
-        p.add_argument("--mass", type=float, help="mass (default 1)")
-        p.add_argument("--tmin", type=float, help="first time (default 0)")
-        p.add_argument("--tmax", type=float, help="last time (default: twice the collision time)")
-        p.add_argument("--nt", type=int, help="number of time samples")
-        p.add_argument("--xmin", type=float, help="grid left edge override")
-        p.add_argument("--nx", type=int, help="grid point count override (odd)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-        p.add_argument("--out", help="output path, '-' for stdout (default)")
-        p.add_argument("--config", help="key=value config file; flags override it")
-        if name == "validate":
-            p.add_argument(
-                "--criteria",
-                help="comma-separated criterion ids to run (default: all)",
-            )
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, (commands, keywords) in _OPTIONS.items():
+            if command in commands:
+                p.add_argument(f"--{name}", **keywords)
     return parser
 
 
@@ -532,15 +519,18 @@ def _run(handler, cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "density": cmd_density,
-        "moments": cmd_moments,
-        "autocorr": cmd_autocorr,
-        "validate": cmd_validate,
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return _run(handlers[args.command], _resolve(args))
+        args = _parser().parse_args(argv)
+        if args.config:
+            # the file's settings go first, so that the command line's win;
+            # the command line parsed alone, so a refusal now is the file's
+            tokens = _config_tokens(args.command, args.config)
+            try:
+                args = _parser().parse_args([args.command, *tokens, *argv[1:]])
+            except CliError as exc:
+                raise CliError(f"{args.config}: {exc}") from exc
+        return _run(_COMMANDS[args.command][0], _resolve(args))
     except (CliError, DegenerateMirrorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

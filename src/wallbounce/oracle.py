@@ -266,9 +266,12 @@ def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -
 
 
 def overlap(a: GridState, b: GridState) -> complex:
-    """Simpson quadrature of Int a* b dx; grids must be identical."""
+    """Simpson quadrature of Int a* b dx; grids must be identical.  Raises
+    TailCaptureError when either state is not negligible at the grid ends."""
     if a.grid != b.grid:
         raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
+    _check_tails(a)
+    _check_tails(b)
     product = np.conj(a.values)
     product *= b.values
     return complex(_weighted_sum(product, a.grid.h))

@@ -145,7 +145,7 @@ def test_json_schema(tmp_path):
 
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.conf"
-    cfg.write_text("# demo config\nkind=free\np0=2.0\nnt=3\ntmax=1.0\n")
+    cfg.write_text("# demo config\nkind=free\nx0=-4\np0=2.0\nnt=3\ntmax=1.0\n")
     out = tmp_path / "o.json"
     code = main(
         ["moments", "--config", str(cfg), "--p0", "1.0", "--format", "json", "--out", str(out)]
@@ -153,24 +153,47 @@ def test_config_file_with_flag_override(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["metadata"]["params"]["kind"] == "free"
+    assert payload["metadata"]["params"]["x0"] == -4.0  # a negative value from the file
     assert payload["metadata"]["params"]["p0"] == 1.0  # flag beats file
     assert len(payload["records"]) == 3
 
 
-def test_bad_arguments_exit_two(tmp_path):
-    assert run_cli(tmp_path, "moments", "--tmin", "3", "--tmax", "1")[0] == 2
-    assert run_cli(tmp_path, "moments", "--kind", "bouncer", "--x0", "1.0")[0] == 2
-    assert run_cli(tmp_path, "moments", "--kind", "wall", "--p0", "2.0")[0] == 2
-    assert run_cli(tmp_path, "moments", "--kind", "bouncer", "--x0", "0", "--p0", "0")[0] == 2
-    assert run_cli(tmp_path, "density", "--xmin", "-50", "--nx", "1000")[0] == 2  # even
-    assert run_cli(tmp_path, "density", "--xmin", "-50")[0] == 2  # missing --nx
-    assert run_cli(tmp_path, "moments", "--alpha", "-1")[0] == 2
-    assert run_cli(tmp_path, "validate", "--criteria", "C99")[0] == 2
-    assert run_cli(tmp_path, "moments", "--tmax", "nan")[0] == 2
-    assert run_cli(tmp_path, "density", "--tmax", "inf")[0] == 2
-    assert run_cli(tmp_path, "validate", "--criteria", ",")[0] == 2
-    assert run_cli(tmp_path, "validate", "--criteria", " , ")[0] == 2
-    assert run_cli(tmp_path, "validate", "--criteria", "")[0] == 2
+def test_bad_arguments_exit_two(tmp_path, capsys):
+    bad_value = tmp_path / "bad_value.conf"
+    bad_value.write_text("kind=free\nnt=abc\n")
+    bad_key = tmp_path / "bad_key.conf"
+    bad_key.write_text("# comment\nkind=free\nspeed=3\n")
+    for argv in [
+        ["moments", "--tmin", "3", "--tmax", "1"],
+        ["moments", "--kind", "bouncer", "--x0", "1.0"],
+        ["moments", "--kind", "wall", "--p0", "2.0"],
+        ["moments", "--kind", "bouncer", "--x0", "0", "--p0", "0"],
+        ["density", "--xmin", "-50", "--nx", "1000"],  # even
+        ["density", "--xmin", "-50"],  # missing --nx
+        ["moments", "--alpha", "-1"],
+        ["validate", "--criteria", "C99"],
+        ["moments", "--tmax", "nan"],
+        ["density", "--tmax", "inf"],
+        ["validate", "--criteria", ","],
+        ["validate", "--criteria", " , "],
+        ["validate", "--criteria", ""],
+        # rejected by the parser itself
+        ["moments", "--nt", "abc"],
+        ["moments", "--format", "xml"],
+        ["density", "--bogus", "1"],
+        ["validate", "--x0", "3"],  # validate takes no physics flags
+        ["validate", "--kind", "free"],
+        ["moments", "--config", str(bad_value)],
+        ["moments", "--config", str(bad_key)],
+    ]:
+        assert run_cli(tmp_path, *argv)[0] == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        if argv[-2] == "--config":
+            assert err.startswith(f"error: {argv[-1]}"), err  # names the file
+        if argv[-1] == str(bad_key):
+            assert f"{bad_key}:3: " in err
+    assert set(tmp_path.iterdir()) == {bad_value, bad_key}  # no output file
 
 
 @pytest.mark.parametrize(
@@ -216,6 +239,8 @@ FAILING_RUNS = [
     # the reflected packet leaves the automatic grid: a numerical failure
     (["moments", "--kind", "bouncer", "--x0", "-8", "--p0", "5", "--alpha", "1.4", "--tmax", "19"],
      1),
+    # the grid cuts the packet: the overlap refuses it
+    (["autocorr", "--kind", "free", "--xmin", "-3", "--nx", "101", "--nt", "3"], 1),
 ]
 
 

@@ -218,6 +218,16 @@ def test_overlap_conjugate_symmetry():
     assert abs(overlap(a, b) - overlap(b, a).conjugate()) < 1e-14
 
 
+def test_overlap_refuses_state_cut_at_x_min():
+    # the packet sits at x0 = -5; the grid [-3, 3] cuts it at x_min
+    grid = GridSpec(-3.0, 101, 3.0)
+    cut = sample(lambda x, t: psi_free(PP, x, t), grid, 0.0)
+    whole = GridState(grid, np.exp(-4.0 * grid.points() ** 2).astype(complex), 0.0)
+    for a, b in ((cut, whole), (whole, cut), (cut, cut)):
+        with pytest.raises(TailCaptureError, match="x_min"):
+            overlap(a, b)
+
+
 def test_overlap_grid_mismatch():
     a = sample(lambda x, t: psi_free(PP, x, t), full_line_grid(PP, 0.0, 0.0), 0.0)
     b = sample(lambda x, t: psi_free(PP, x, t), GridSpec(-30.0, 3001, 10.0), 0.0)

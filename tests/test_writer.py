@@ -52,7 +52,7 @@ def whole_columns(blocks):
 
 def _config(fmt):
     params = PacketParams(x0=-10.0, p0=5.0, alpha=1.0)
-    return cli.RunConfig("density", "bouncer", params, 0.0, 4.0, 9, None, None, fmt, "-")
+    return cli.RunConfig("density", fmt, "-", None, None, "bouncer", params, 0.0, 4.0, 9)
 
 
 def both_ways(fmt, blocks, meta):
