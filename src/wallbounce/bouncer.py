@@ -7,7 +7,10 @@ mirrored packet so the wavefunction vanishes at the wall,
     psi_mirror(x, t) = 0                              for x >= 0.
 
 It is evaluated as one free packet times an ``expm1`` factor, exact to
-round-off for every phase-space distance z > 0.  Because the difference
+round-off for every phase-space distance z > 0.  The factor is formed in
+real arithmetic, from expm1 of its real part and the tangent of half its
+imaginary part (numpy's real tan is vectorized and its complex expm1 is
+not), and applied in place, block by block, to the free packet.  Because the difference
 is odd in x, every integral of an even quantity over the half-line
 equals half the full-line integral, which is what makes the
 normalization N, the even moments ``<x^2>`` and ``<p^2>``, and the
@@ -24,11 +27,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .packets import _SQRT_PI, PacketParams, autocorrelation_free, psi_free
+from .packets import _BLOCK, _SQRT_PI, PacketParams, _blocks, autocorrelation_free, psi_free
 
 __all__ = [
     "ApproximationWindowWarning",
@@ -136,16 +139,55 @@ def psi_bouncer(bp: BouncerParams, x, t: float):
 
     Returns N*[psi(x,t) - psi(-x,t)] for x < 0 and exactly 0 for
     x >= 0.  As psi(-x) = psi(x)*exp(-2*k*x) with k = i*p0/hbar +
-    X(t)/(beta**2*(1 + i*t/t0)), this is -s*N*psi(s*x)*expm1(-2*s*k*x),
-    with s = -1 if X(t) > 0 and 1 otherwise so that the factor never
-    overflows; it is exact to round-off for every distance z > 0.
+    X(t)/(beta**2*(1 + i*t/t0)), this is -s*N*psi(s*x)*expm1(q) with
+    q = -2*s*k*min(x, 0), where s = -1 if X(t) > 0 and 1 otherwise, so
+    that Re q <= 0 and the factor never overflows; it is exact to
+    round-off for every distance z > 0.
+
+    psi(s*x) is the free packet mirrored through the wall, (s*x0, s*p0),
+    at x, evaluated by one psi_free call on the whole of x.  The factor is
+    then applied in place, block by block, in real arithmetic: with
+    h = tan(Im q/2) and e = exp(Re q) = 1 + expm1(Re q),
+
+        expm1(q) = expm1(Re q) - 2*e*h**2/(1 + h**2) + 2i*e*h/(1 + h**2).
+
+    The two real terms have the same sign, so nothing cancels as q -> 0.
+    e = 1 + expm1(Re q) is off by at most an ulp of 1, so it is exact to
+    round-off where e is near 1, and where e is small |expm1(q)| >= 1 - e
+    is not.
     """
     base = bp.base
     big_x = base.center(t)
     k = 1j * base.p0 / base.hbar + big_x / (base.beta**2 * (1.0 + 1j * t / base.t0))
     s = -1.0 if big_x > 0.0 else 1.0
-    x = np.minimum(np.asarray(x, dtype=float), 0.0)
-    out = -s * bp.norm_constant * psi_free(base, s * x, t) * np.expm1(-2.0 * s * k * x)
+    image = base if s > 0.0 else replace(base, x0=-base.x0, p0=-base.p0)
+    x = np.asarray(x, dtype=float)
+    out = np.asarray(psi_free(image, x, t))
+    # Re q = re_q*min(x, 0) and Im q/2 = half_im_q*min(x, 0); scale = -s*N
+    re_q = -2.0 * s * k.real
+    half_im_q = -s * k.imag
+    scale = -s * bp.norm_constant
+    work = np.empty((7, min(x.size, _BLOCK)))
+    factor = work[5:].reshape(-1).view(complex)  # the last two rows
+    for xb, ob in _blocks(x, out):
+        xm, em, h, w, d = work[:5, : xb.size]
+        f = factor[: xb.size]
+        np.minimum(xb, 0.0, out=xm)
+        np.multiply(xm, re_q, out=em)
+        np.multiply(xm, half_im_q, out=h)
+        np.expm1(em, out=em)
+        np.tan(h, out=h)
+        np.add(em, 1.0, out=w)
+        np.square(h, out=xm)
+        em *= scale
+        # w = 2*scale*e/(1 + h**2), then f = scale*expm1(q)
+        w *= 2.0 * scale
+        np.add(xm, 1.0, out=d)
+        w /= d
+        xm *= w
+        np.subtract(em, xm, out=f.real)
+        np.multiply(w, h, out=f.imag)
+        ob *= f
     return out[()]
 
 

@@ -49,6 +49,23 @@ from .special import (
 from .validation import CRITERION_IDS, run_all
 
 SCHEMA_VERSION = 1
+#: the unit of each physical output column; validate's text columns have none
+_COLUMN_UNITS = {
+    "t": "time",
+    "x": "length",
+    "density": "1/length",
+    "x_mean_numeric": "length",
+    "x_mean_classical": "length",
+    "x_mean_near_wall_approx": "length",
+    "p_mean_numeric": "momentum",
+    "x2_exact": "length^2",
+    "p2_exact": "momentum^2",
+    "re_exact": "1",
+    "im_exact": "1",
+    "abs2_exact": "1",
+    "re_numeric": "1",
+    "im_numeric": "1",
+}
 #: rows joined into one write: a density chunk then stays near 50 kB, small
 #: enough for the allocator to reuse one block instead of mapping fresh pages
 _ROWS_PER_WRITE = 512
@@ -112,12 +129,22 @@ class CliError(Exception):
     """Bad arguments or configuration (exit code 2)."""
 
 
+class _Exit(Exception):
+    """argparse has answered the request itself (--help); args[0] is the status."""
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that raises CliError where argparse would print its
-    usage and exit, so every rejected input is one line and exit code 2."""
+    usage and exit, so every rejected input is one line and exit code 2,
+    and raises _Exit after --help, so that main returns 0 instead of exiting."""
 
     def error(self, message):
         raise CliError(message)
+
+    def exit(self, status=0, message=None):
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _Exit(status)
 
 
 _PHYSICS = ("density", "moments", "autocorr")
@@ -264,7 +291,8 @@ def _times(cfg: RunConfig) -> list[float]:
 
 
 def _metadata(cfg: RunConfig, grid: GridSpec | None) -> dict:
-    """How the output was made; validate, which has no physics flags, has no params."""
+    """How the output was made; validate, which has no physics flags, has no params.
+    _write adds units.columns, the unit of each column it writes."""
     meta = {"schema_version": SCHEMA_VERSION, "command": cfg.command}
     hbar = mass = 1.0
     p = cfg.params
@@ -279,7 +307,6 @@ def _metadata(cfg: RunConfig, grid: GridSpec | None) -> dict:
         "system": "natural (hbar = mass = 1)" if hbar == 1.0 and mass == 1.0 else "custom",
         "hbar": hbar,
         "mass": mass,
-        "columns": {"t": "time", "x": "length", "density": "1/length"},
     }
     if grid is not None:
         meta["grid"] = {"x_min": grid.x_min, "x_max": grid.x_max, "n_points": grid.n_points}
@@ -340,11 +367,13 @@ def _write(cfg: RunConfig, blocks: Iterable[dict], meta: dict, stream):
     does not grow with the number of blocks.  The first block is taken
     before anything is written, so a request that fails there writes
     nothing.  The bytes are those of csv.writer, and
-    of json.dumps(payload, indent=2) over all the records.
+    of json.dumps(payload, indent=2) over all the records.  meta's
+    units.columns is set here from the first block's names.
     """
     blocks = iter(blocks)
     first = next(blocks)
     names = tuple(first)
+    meta["units"]["columns"] = {name: _COLUMN_UNITS.get(name) for name in names}
     json_out = cfg.format == "json"
     if json_out:
         payload = {"schema_version": SCHEMA_VERSION, "metadata": meta, "records": []}
@@ -531,6 +560,8 @@ def main(argv=None) -> int:
             except CliError as exc:
                 raise CliError(f"{args.config}: {exc}") from exc
         return _run(_COMMANDS[args.command][0], _resolve(args))
+    except _Exit as exc:
+        return exc.args[0]
     except (CliError, DegenerateMirrorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

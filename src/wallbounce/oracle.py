@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .packets import PacketParams
+from .packets import _BLOCK, PacketParams
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -153,30 +153,63 @@ def _weighted_sum(f: np.ndarray, h: float, rule: str = "simpson"):
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
-def _abs2(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|v|^2 as re^2 + im^2 into out."""
+def _abs2(v: np.ndarray, out: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """|v|^2 as re^2 + im^2 into out; im^2 goes to work when given."""
     np.square(v.real, out=out)
-    out += np.square(v.imag)
+    out += np.square(v.imag, out=work)
     return out
 
 
-def _check_tails(state: GridState) -> float:
-    """Raise TailCaptureError unless the state is negligible at both ends; return max|psi|."""
-    amax = float(np.max(np.abs(state.values)))
-    if amax == 0.0:
-        return amax
+def _max_abs2(v: np.ndarray) -> float:
+    """max |v|^2 from _abs2, _BLOCK points at a time (nan if any value is)."""
+    work = np.empty((2, min(v.size, _BLOCK)))
+    blocks = (v[i : i + _BLOCK] for i in range(0, v.size, _BLOCK))
+    return float(np.max([_abs2(b, *work[:, : b.size]).max() for b in blocks]))
+
+
+def _conj_times(v: np.ndarray, d: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """conj(v) * d into out, with no conj(v) array of its own."""
+    np.conjugate(v, out=out)
+    out *= d
+    return out
+
+
+def _check_tails(state: GridState, abs2: np.ndarray | None = None) -> float:
+    """Raise TailCaptureError unless the state is negligible at both ends; return max|psi|.
+
+    The ends' re^2 + im^2 are compared with TAIL_RTOL**2 * max|psi|^2, the
+    maximum taken from abs2 (|psi|^2 on the grid) when the caller has it,
+    so no hypot pass is made; where the squares overflow or come near
+    underflow, moduli are compared instead.  np.abs otherwise only
+    forms the message.
+    """
+    v = state.values
+    peak2 = _max_abs2(v) if abs2 is None else float(abs2.max())
+    if 1e-200 < peak2 < math.inf:
+        peak = math.sqrt(peak2)
+        sizes = [z.real * z.real + z.imag * z.imag for z in (v[0], v[-1])]
+        limit = TAIL_RTOL**2 * peak2
+    else:
+        # the squares overflow or come near underflow: compare moduli
+        peak = float(np.max(np.abs(v)))
+        sizes = [abs(v[0]), abs(v[-1])]
+        limit = TAIL_RTOL * peak
+    if peak == 0.0:
+        return peak
     # both ends: on a half-line grid x_max is the wall, where a mirror state
     # is exactly zero, so a state that is not zero there is not one
     grid = state.grid
     half = 0.5 * (grid.x_max - grid.x_min)
-    for end, label, wider in ((0, "x_min", grid.x_min - half), (-1, "x_max", grid.x_max + half)):
-        if abs(state.values[end]) > TAIL_RTOL * amax:
+    ends = ((0, "x_min", grid.x_min - half), (-1, "x_max", grid.x_max + half))
+    for (end, label, wider), size in zip(ends, sizes):
+        if size > limit:
+            amax = float(np.max(np.abs(v)))
             raise TailCaptureError(
-                f"|psi({label})| = {abs(state.values[end]):.3e} exceeds "
+                f"|psi({label})| = {abs(v[end]):.3e} exceeds "
                 f"{TAIL_RTOL:g} * max|psi| = {TAIL_RTOL * amax:.3e}; widen the grid "
                 f"(e.g. {label} {'<=' if end == 0 else '>='} {wider:.6g})"
             )
-    return amax
+    return peak
 
 
 def moment_x(state: GridState, order: int, rule: str = "simpson") -> float:
@@ -187,8 +220,8 @@ def moment_x(state: GridState, order: int, rule: str = "simpson") -> float:
     """
     if order < 0 or int(order) != order:
         raise ValueError(f"order must be a nonnegative integer, got {order!r}")
-    _check_tails(state)
     density = _abs2(state.values, np.empty(state.grid.n_points))
+    _check_tails(state, density)
     if order:
         x = state.grid.points()
         for _ in range(int(order)):
@@ -213,7 +246,8 @@ def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -
     8*(v[j+1] - v[j-1]) - (v[j+2] - v[j-2]).  The factors 1/(2h), 1/(12h)
     and hbar multiply the Simpson sums, not the arrays, and every sum is
     a pairwise numpy sum (no BLAS), so the result does not depend on the
-    host's thread count.
+    host's thread count.  conj(psi) * psi' is formed in a work array,
+    with no copy of conj(psi).
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
@@ -231,8 +265,7 @@ def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -
     work = np.empty_like(v)
     abs2 = np.empty(v.size)
     if order == 1:
-        conj_v = np.conj(v)
-        sum2 = float(_weighted_sum(np.multiply(conj_v, d, out=work).imag, h))
+        sum2 = float(_weighted_sum(_conj_times(v, d, work).imag, h))
     else:
         sum2 = float(_weighted_sum(_abs2(d, abs2), h))
     # in place, d = 12h * psi' to 4th order, with 4th-order one-sided ends
@@ -245,7 +278,7 @@ def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -
     d[-1] = 25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]
     sum4_abs2 = float(_weighted_sum(_abs2(d, abs2), h))
     if order == 1:
-        m4 = hbar * float(_weighted_sum(np.multiply(conj_v, d, out=work).imag, h)) / (12.0 * h)
+        m4 = hbar * float(_weighted_sum(_conj_times(v, d, work).imag, h)) / (12.0 * h)
         m2 = hbar * sum2 / (2.0 * h)
         # momentum scale for near-zero means, from the same derivative data
         scale = max(abs(m4), hbar * math.sqrt(abs(sum4_abs2)) / (12.0 * h))

@@ -10,6 +10,15 @@ All wavefunction evaluators are pure, vectorized over the position or
 momentum argument, and use the principal branch for the complex square
 roots (the branch argument always has positive real part, so no cut is
 ever crossed).
+
+psi_free, which every position-space packet is built on, is evaluated in
+real arithmetic: its modulus is one real exp and its phase comes from the
+half-angle tangent h = tan(theta/2) as ((1 - h**2) + 2i*h)/(1 + h**2).
+numpy vectorizes the real tan and exp; its complex exp, and its sin and
+cos at large arguments, run point by point in libm at 10 to 40 times the
+cost.  Points go through in blocks of _BLOCK, whose temporaries stay in
+cache; the other modules apply their exact factors in place in the same
+blocks (_blocks).
 """
 
 from __future__ import annotations
@@ -29,6 +38,9 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+#: points per block of a wavefunction evaluation: a block's few float
+#: temporaries (128 KiB each) stay in a core's L2 cache
+_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -113,6 +125,14 @@ class Moments:
         return self.x_sd * self.p_sd
 
 
+def _blocks(x: np.ndarray, out: np.ndarray):
+    """Matching flat views of x and out (the same shape, out contiguous),
+    _BLOCK points at a time."""
+    xf, of = x.reshape(-1), out.reshape(-1)
+    for start in range(0, xf.size, _BLOCK):
+        yield xf[start : start + _BLOCK], of[start : start + _BLOCK]
+
+
 def psi_free(params: PacketParams, x, t: float):
     """Position-space Gaussian packet psi(x, t).
 
@@ -129,17 +149,60 @@ def psi_free(params: PacketParams, x, t: float):
     complex or ndarray
         psi(x, t) = [sqrt(pi)*alpha*hbar*(1 + i*t/t0)]**(-1/2)
         * exp(i*p0*(x - x0)/hbar) * exp(-i*p0**2*t/(2*m*hbar))
-        * exp(-(x - X(t))**2 / (2*beta**2*(1 + i*t/t0))),
-        evaluated as one complex exp of a quadratic in x - X(t).  The
-        other packets are this value times an exact factor.
+        * exp(-(x - X(t))**2 / (2*beta**2*(1 + i*t/t0))).
+
+    Notes
+    -----
+    Evaluated in real arithmetic as |psi| * exp(i*theta), with u = x - X(t),
+    tau = t/t0 and beta_t**2 = beta**2*(1 + tau**2):
+
+        |psi| = exp(-u**2/(2*beta_t**2) - ln(pi*beta_t**2)/4),
+        theta/2 = u**2*tau/(4*beta_t**2) + u*p0/(2*hbar)
+                  + p0**2*t/(4*m*hbar) - atan(tau)/4,
+
+    and exp(i*theta) = ((1 - h**2) + 2i*h)/(1 + h**2) with h = tan(theta/2),
+    so each point costs one real exp and one real tan, which numpy
+    vectorizes with AVX-512, where its complex exp (and its sin and cos at
+    arguments past a few radians) run point by point in libm.  The real part is formed as 2*|psi|/(1 + h**2) - |psi|, within an
+    ulp of |psi|.  h**2 cannot overflow: no double lies within about 5e-19
+    of an odd multiple of pi/2, so |h| < 1e19.  Points go through in blocks
+    of _BLOCK, so the temporaries stay in cache and the only array as large
+    as x is the result.  The other packets are this value times an exact
+    factor.
     """
-    w = 1.0 + 1j * t / params.t0
-    u = np.asarray(x, dtype=float) - params.center(t)
-    c1 = -1.0 / (2.0 * params.beta**2 * w)
-    c2 = 1j * params.p0 / params.hbar
-    c3 = 1j * params.p0**2 * t / (2.0 * params.mass * params.hbar)
-    amp = 1.0 / np.sqrt(_SQRT_PI * params.alpha * params.hbar * w)
-    out = amp * np.exp(u * (u * c1 + c2) + c3)
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape, dtype=complex)
+    tau = t / params.t0
+    bt2 = params.beta**2 * (1.0 + tau * tau)
+    big_x = params.center(t)
+    # |psi| = exp(u*u*a + c) and theta/2 = u*(u*qa + qb) + qc
+    a = -0.5 / bt2
+    c = -0.25 * math.log(math.pi * bt2)
+    qa = 0.25 * tau / bt2
+    qb = 0.5 * params.p0 / params.hbar
+    qc = 0.25 * (params.p0**2 * t / (params.mass * params.hbar) - math.atan(tau))
+    work = np.empty((3, min(x.size, _BLOCK)))
+    for xb, ob in _blocks(x, out):
+        u, mod, h = work[:, : xb.size]
+        np.subtract(xb, big_x, out=u)
+        np.multiply(u, qa, out=h)
+        h += qb
+        h *= u
+        h += qc
+        # theta is infinite only where u*u overflows and |psi| is 0; a finite
+        # theta keeps tan, and so psi, finite there
+        np.clip(h, -1e300, 1e300, out=h)
+        np.tan(h, out=h)
+        np.square(u, out=mod)
+        mod *= a
+        mod += c
+        np.exp(mod, out=mod)
+        np.square(h, out=u)
+        u += 1.0
+        np.divide(mod, u, out=u)
+        u += u
+        np.subtract(u, mod, out=ob.real)
+        np.multiply(u, h, out=ob.imag)
     return out[()]
 
 

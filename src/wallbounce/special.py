@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .packets import _SQRT_PI, Moments, PacketParams, psi_free
+from .packets import _BLOCK, _SQRT_PI, Moments, PacketParams, _blocks, psi_free
 
 __all__ = [
     "SpecialParams",
@@ -74,6 +74,28 @@ def phi_node_packet(sp: PacketParams, p, t: float):
     return out[()]
 
 
+def _times_node_factor(sp: PacketParams, x, t: float, scale: float | None = None):
+    """psi_free times the node factor, and then times scale if given,
+    applied in place block by block."""
+    x = np.asarray(x, dtype=float)
+    out = np.asarray(psi_free(sp, x, t))
+    ratio = 1j * math.sqrt(2.0) / (sp.beta * (1.0 + 1j * t / sp.t0))
+    big_x = sp.center(t)
+    work = np.empty((3, min(x.size, _BLOCK)))
+    factor = work[1:].reshape(-1).view(complex)  # the last two rows
+    for xb, ob in _blocks(x, out):
+        d = work[0, : xb.size]
+        f = factor[: xb.size]
+        np.subtract(xb, big_x, out=d)
+        # ratio*(x - X) exactly as complex times real rounds it
+        np.multiply(d, ratio.real, out=f.real)
+        np.multiply(d, ratio.imag, out=f.imag)
+        ob *= f
+        if scale is not None:
+            ob *= scale
+    return out[()]
+
+
 def psi_node_packet(sp: PacketParams, x, t: float):
     """Position-space node packet (Fourier transform of :func:`phi_node_packet`).
 
@@ -82,13 +104,11 @@ def psi_node_packet(sp: PacketParams, x, t: float):
     * (x - X(t)) * exp(-(x - X(t))**2/(2*beta**2*(1 + i*t/t0))),
     with the principal branch for the 3/2-power and a node at x = X(t).
     The prefactor is fixed by unit full-line norm.  Evaluated as
-    i*sqrt(2)/(beta*(1 + i*t/t0)) * (x - X(t)) times :func:`psi_free`,
-    which is exact on the principal branch because Re(1 + i*t/t0) > 0.
+    :func:`psi_free` times i*sqrt(2)/(beta*(1 + i*t/t0)) * (x - X(t)),
+    which is exact on the principal branch because Re(1 + i*t/t0) > 0;
+    the factor is applied in place in psi_free's blocks.
     """
-    x = np.asarray(x, dtype=float)
-    ratio = 1j * math.sqrt(2.0) / (sp.beta * (1.0 + 1j * t / sp.t0))
-    out = ratio * (x - sp.center(t)) * psi_free(sp, x, t)
-    return out[()]
+    return _times_node_factor(sp, x, t)
 
 
 def node_packet_moments(sp: PacketParams, t: float) -> Moments:
@@ -114,15 +134,13 @@ def psi_wall_packet(sp: PacketParams, x, t: float):
 
     Vanishes identically for x >= 0 and at the wall for all t, so it is
     an exact bouncing solution in its own right; the sqrt(2) restores
-    unit norm on the half-line.  Evaluated as sqrt(2) times the node
-    packet at min(x, 0), whose factor min(x, 0) is exactly 0 beyond the
-    wall, so no select is needed and the values keep the rounding of
-    sqrt(2) * psi_node_packet.
+    unit norm on the half-line.  Evaluated as the node packet at
+    min(x, 0), whose factor min(x, 0) is exactly 0 beyond the wall, scaled
+    by sqrt(2) in the node factor's blocks, so no select is needed and the
+    values are bit for bit sqrt(2) * psi_node_packet(min(x, 0)).
     """
     _require_zero_offset(sp)
-    out = psi_node_packet(sp, np.minimum(np.asarray(x, dtype=float), 0.0), t)
-    out *= math.sqrt(2.0)
-    return out[()]
+    return _times_node_factor(sp, np.minimum(np.asarray(x, dtype=float), 0.0), t, math.sqrt(2.0))
 
 
 def wall_packet_moments(sp: PacketParams, t: float) -> Moments:

@@ -196,6 +196,40 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
     assert set(tmp_path.iterdir()) == {bad_value, bad_key}  # no output file
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["density", "--help"], ["validate", "-h"]])
+def test_help_returns_zero(capsys, argv):
+    # help is printed to stdout and main returns 0 rather than raising SystemExit
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: wallbounce") and captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--xmin", "-60", "--nx", "101", "--nt", "2"],
+        ["moments", "--kind", "free", "--nt", "2"],
+        ["autocorr", "--kind", "free", "--nt", "2"],
+    ],
+)
+def test_units_name_each_commands_columns(tmp_path, argv):
+    code, out = run_cli(tmp_path, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out.read_text())
+    columns = payload["metadata"]["units"]["columns"]
+    assert list(columns) == list(payload["records"][0])
+    assert all(isinstance(unit, str) and unit for unit in columns.values())
+
+
+def test_validate_text_columns_have_no_units(tmp_path):
+    code, out = run_cli(tmp_path, "validate", "--criteria", "C03", "--format", "json")
+    assert code == 0
+    payload = json.loads(out.read_text())
+    columns = payload["metadata"]["units"]["columns"]
+    assert list(columns) == ["id", "passed", "description", "detail"] == list(payload["records"][0])
+    assert all(unit is None for unit in columns.values())
+
+
 @pytest.mark.parametrize(
     "argv",
     [
