@@ -245,8 +245,8 @@ def _resolve(args) -> RunConfig:
                 "kind=bouncer is degenerate at x0 = p0 = 0; use kind=wall instead"
             )
 
-    tc = -params.mass * x0 / p0 if (x0 < 0.0 and p0 > 0.0) else None
-    default_tmax = 2.0 * tc if (kind == "bouncer" and tc is not None) else 4.0 * params.t0
+    tc = BouncerParams(params).collision_time if kind == "bouncer" else None
+    default_tmax = 4.0 * params.t0 if tc is None else 2.0 * tc
     tmin = args.tmin
     tmax = default_tmax if args.tmax is None else args.tmax
     nt = (9 if args.command == "density" else 33) if args.nt is None else args.nt

@@ -153,18 +153,24 @@ def _weighted_sum(f: np.ndarray, h: float, rule: str = "simpson"):
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
-def _abs2(v: np.ndarray, out: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """|v|^2 as re^2 + im^2 into out; im^2 goes to work when given."""
-    np.square(v.real, out=out)
-    out += np.square(v.imag, out=work)
+def _abs2_blocks(v: np.ndarray, out: np.ndarray | None = None):
+    """|v|^2 as re^2 + im^2, _BLOCK points at a time with im^2 in a block-sized
+    row; yields out's blocks, or blocks of a second row when out is None."""
+    rows = np.empty((2, min(v.size, _BLOCK)))
+    for i in range(0, v.size, _BLOCK):
+        vb = v[i : i + _BLOCK]
+        im2, ob = rows[:, : vb.size]
+        ob = ob if out is None else out[i : i + _BLOCK]
+        np.square(vb.real, out=ob)
+        ob += np.square(vb.imag, out=im2)
+        yield ob
+
+
+def _abs2(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|v|^2 into out, with no temporary larger than a block."""
+    for _ in _abs2_blocks(v, out):
+        pass
     return out
-
-
-def _max_abs2(v: np.ndarray) -> float:
-    """max |v|^2 from _abs2, _BLOCK points at a time (nan if any value is)."""
-    work = np.empty((2, min(v.size, _BLOCK)))
-    blocks = (v[i : i + _BLOCK] for i in range(0, v.size, _BLOCK))
-    return float(np.max([_abs2(b, *work[:, : b.size]).max() for b in blocks]))
 
 
 def _conj_times(v: np.ndarray, d: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -184,7 +190,8 @@ def _check_tails(state: GridState, abs2: np.ndarray | None = None) -> float:
     forms the message.
     """
     v = state.values
-    peak2 = _max_abs2(v) if abs2 is None else float(abs2.max())
+    # the maximum is taken a block at a time (nan if any value is)
+    peak2 = float(np.max([b.max() for b in _abs2_blocks(v)] if abs2 is None else abs2))
     if 1e-200 < peak2 < math.inf:
         peak = math.sqrt(peak2)
         sizes = [z.real * z.real + z.imag * z.imag for z in (v[0], v[-1])]

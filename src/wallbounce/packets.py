@@ -17,8 +17,9 @@ half-angle tangent h = tan(theta/2) as ((1 - h**2) + 2i*h)/(1 + h**2).
 numpy vectorizes the real tan and exp; its complex exp, and its sin and
 cos at large arguments, run point by point in libm at 10 to 40 times the
 cost.  Points go through in blocks of _BLOCK, whose temporaries stay in
-cache; the other modules apply their exact factors in place in the same
-blocks (_blocks).
+cache.  The same kernel (_gaussian) with other constants gives the node
+and wall packets of :mod:`wallbounce.special`; the bouncer applies its
+mirror factor in place in psi_free's blocks (_blocks).
 """
 
 from __future__ import annotations
@@ -133,6 +134,51 @@ def _blocks(x: np.ndarray, out: np.ndarray):
         yield xf[start : start + _BLOCK], of[start : start + _BLOCK]
 
 
+def _gaussian(params: PacketParams, x, t: float, order: int) -> np.ndarray:
+    """psi_free (order 0) or the node packet (order 1) as an array, a block
+    at a time; see the notes of psi_free and psi_node_packet."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape, dtype=complex)
+    tau = t / params.t0
+    bt2 = params.beta**2 * (1.0 + tau * tau)
+    big_x = params.center(t)
+    # |psi| = exp(u*u*a + c) and theta/2 = u*(u*qa + qb) + qc
+    a = -0.5 / bt2
+    c = -0.25 * math.log(math.pi * bt2)
+    qa = 0.25 * tau / bt2
+    qb = 0.5 * params.p0 / params.hbar
+    qc = 0.25 * (params.p0**2 * t / (params.mass * params.hbar) - math.atan(tau))
+    if order:
+        # node factor i*sqrt(2)*u/(beta*(1 + i*tau)) = sqrt(2)*u/beta_t * exp(i*(pi/2 - atan(tau)))
+        c += 0.5 * math.log(2.0 / bt2)
+        qc += 0.25 * math.pi - 0.5 * math.atan(tau)
+    work = np.empty((3, min(x.size, _BLOCK)))
+    for xb, ob in _blocks(x, out):
+        u, mod, h = work[:, : xb.size]
+        np.subtract(xb, big_x, out=u)
+        np.multiply(u, qa, out=h)
+        h += qb
+        h *= u
+        h += qc
+        # theta is infinite only where u*u overflows and |psi| is 0; a finite
+        # theta keeps tan, and so psi, finite there
+        np.clip(h, -1e300, 1e300, out=h)
+        np.tan(h, out=h)
+        np.square(u, out=mod)
+        mod *= a
+        mod += c
+        np.exp(mod, out=mod)
+        if order:
+            mod *= u
+        np.square(h, out=u)
+        u += 1.0
+        np.divide(mod, u, out=u)
+        u += u
+        np.subtract(u, mod, out=ob.real)
+        np.multiply(u, h, out=ob.imag)
+    return out
+
+
 def psi_free(params: PacketParams, x, t: float):
     """Position-space Gaussian packet psi(x, t).
 
@@ -163,47 +209,14 @@ def psi_free(params: PacketParams, x, t: float):
     and exp(i*theta) = ((1 - h**2) + 2i*h)/(1 + h**2) with h = tan(theta/2),
     so each point costs one real exp and one real tan, which numpy
     vectorizes with AVX-512, where its complex exp (and its sin and cos at
-    arguments past a few radians) run point by point in libm.  The real part is formed as 2*|psi|/(1 + h**2) - |psi|, within an
-    ulp of |psi|.  h**2 cannot overflow: no double lies within about 5e-19
-    of an odd multiple of pi/2, so |h| < 1e19.  Points go through in blocks
-    of _BLOCK, so the temporaries stay in cache and the only array as large
-    as x is the result.  The other packets are this value times an exact
-    factor.
+    arguments past a few radians) run point by point in libm.  The real part
+    is formed as 2*|psi|/(1 + h**2) - |psi|, within an ulp of |psi|.  h**2
+    cannot overflow: no double lies within about 5e-19 of an odd multiple of
+    pi/2, so |h| < 1e19.  Points go through in blocks of _BLOCK, so the
+    temporaries stay in cache and the only array as large as x is the
+    result.  The node packet is the same kernel with other constants.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape, dtype=complex)
-    tau = t / params.t0
-    bt2 = params.beta**2 * (1.0 + tau * tau)
-    big_x = params.center(t)
-    # |psi| = exp(u*u*a + c) and theta/2 = u*(u*qa + qb) + qc
-    a = -0.5 / bt2
-    c = -0.25 * math.log(math.pi * bt2)
-    qa = 0.25 * tau / bt2
-    qb = 0.5 * params.p0 / params.hbar
-    qc = 0.25 * (params.p0**2 * t / (params.mass * params.hbar) - math.atan(tau))
-    work = np.empty((3, min(x.size, _BLOCK)))
-    for xb, ob in _blocks(x, out):
-        u, mod, h = work[:, : xb.size]
-        np.subtract(xb, big_x, out=u)
-        np.multiply(u, qa, out=h)
-        h += qb
-        h *= u
-        h += qc
-        # theta is infinite only where u*u overflows and |psi| is 0; a finite
-        # theta keeps tan, and so psi, finite there
-        np.clip(h, -1e300, 1e300, out=h)
-        np.tan(h, out=h)
-        np.square(u, out=mod)
-        mod *= a
-        mod += c
-        np.exp(mod, out=mod)
-        np.square(h, out=u)
-        u += 1.0
-        np.divide(mod, u, out=u)
-        u += u
-        np.subtract(u, mod, out=ob.real)
-        np.multiply(u, h, out=ob.imag)
-    return out[()]
+    return _gaussian(params, x, t, 0)[()]
 
 
 def phi_free(params: PacketParams, p, t: float):

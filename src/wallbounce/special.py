@@ -9,8 +9,9 @@ renormalized by sqrt(2) it is called the *wall packet* here.  The wall
 packet is the degenerate limit of the mirror construction in
 :mod:`wallbounce.bouncer` (exact for every z > 0, and equal to it up to a
 phase as z -> 0).  Its momentum spread *decreases* with time as the
-outgoing components reflect off the wall.  Both packets are evaluated as
-:func:`~wallbounce.packets.psi_free` times an exact factor.
+outgoing components reflect off the wall.  Both packets are evaluated by
+the real-arithmetic kernel of :func:`~wallbounce.packets.psi_free`, whose
+amplitude and phase constants absorb the node factor.
 
 Both packets take the :class:`~wallbounce.packets.PacketParams` of the
 free Gaussian; ``SpecialParams(beta=...)`` returns one built from the
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from .packets import _BLOCK, _SQRT_PI, Moments, PacketParams, _blocks, psi_free
+from .packets import _SQRT_PI, Moments, PacketParams, _gaussian, phi_free
 
 __all__ = [
     "SpecialParams",
@@ -60,40 +61,11 @@ def phi_node_packet(sp: PacketParams, p, t: float):
     phi(p, t) = sqrt(2*alpha**3/sqrt(pi)) * (p - p0)
     * exp(-alpha**2*(p - p0)**2/2) * exp(-i*p*x0/hbar)
     * exp(-i*p**2*t/(2*m*hbar)); normalized on the full p-line, with a
-    node at p = p0.
+    node at p = p0.  Evaluated as sqrt(2)*alpha*(p - p0) times
+    :func:`~wallbounce.packets.phi_free`.
     """
     p = np.asarray(p, dtype=float)
-    a = sp.alpha
-    amp = math.sqrt(2.0 * a**3 / _SQRT_PI)
-    out = (
-        amp
-        * (p - sp.p0)
-        * np.exp(-(a**2) * (p - sp.p0) ** 2 / 2.0)
-        * np.exp(-1j * p * sp.x0 / sp.hbar - 1j * p**2 * t / (2.0 * sp.mass * sp.hbar))
-    )
-    return out[()]
-
-
-def _times_node_factor(sp: PacketParams, x, t: float, scale: float | None = None):
-    """psi_free times the node factor, and then times scale if given,
-    applied in place block by block."""
-    x = np.asarray(x, dtype=float)
-    out = np.asarray(psi_free(sp, x, t))
-    ratio = 1j * math.sqrt(2.0) / (sp.beta * (1.0 + 1j * t / sp.t0))
-    big_x = sp.center(t)
-    work = np.empty((3, min(x.size, _BLOCK)))
-    factor = work[1:].reshape(-1).view(complex)  # the last two rows
-    for xb, ob in _blocks(x, out):
-        d = work[0, : xb.size]
-        f = factor[: xb.size]
-        np.subtract(xb, big_x, out=d)
-        # ratio*(x - X) exactly as complex times real rounds it
-        np.multiply(d, ratio.real, out=f.real)
-        np.multiply(d, ratio.imag, out=f.imag)
-        ob *= f
-        if scale is not None:
-            ob *= scale
-    return out[()]
+    return (math.sqrt(2.0) * sp.alpha * (p - sp.p0) * phi_free(sp, p, t))[()]
 
 
 def psi_node_packet(sp: PacketParams, x, t: float):
@@ -103,12 +75,14 @@ def psi_node_packet(sp: PacketParams, x, t: float):
     * exp(i*p0*(x - x0)/hbar) * exp(-i*p0**2*t/(2*m*hbar))
     * (x - X(t)) * exp(-(x - X(t))**2/(2*beta**2*(1 + i*t/t0))),
     with the principal branch for the 3/2-power and a node at x = X(t).
-    The prefactor is fixed by unit full-line norm.  Evaluated as
-    :func:`psi_free` times i*sqrt(2)/(beta*(1 + i*t/t0)) * (x - X(t)),
-    which is exact on the principal branch because Re(1 + i*t/t0) > 0;
-    the factor is applied in place in psi_free's blocks.
+    The prefactor is fixed by unit full-line norm.  It is psi_free times
+    i*sqrt(2)/(beta*(1 + i*t/t0)) * (x - X(t)), exact on the principal
+    branch because Re(1 + i*t/t0) > 0, and is evaluated by psi_free's
+    kernel with ln(sqrt(2)/beta_t) added to the log-amplitude,
+    (pi/2 - atan(t/t0))/2 added to the half phase, and the modulus
+    multiplied by x - X(t): one real exp and one real tan per point.
     """
-    return _times_node_factor(sp, x, t)
+    return _gaussian(sp, x, t, 1)[()]
 
 
 def node_packet_moments(sp: PacketParams, t: float) -> Moments:
@@ -135,12 +109,14 @@ def psi_wall_packet(sp: PacketParams, x, t: float):
     Vanishes identically for x >= 0 and at the wall for all t, so it is
     an exact bouncing solution in its own right; the sqrt(2) restores
     unit norm on the half-line.  Evaluated as the node packet at
-    min(x, 0), whose factor min(x, 0) is exactly 0 beyond the wall, scaled
-    by sqrt(2) in the node factor's blocks, so no select is needed and the
-    values are bit for bit sqrt(2) * psi_node_packet(min(x, 0)).
+    min(x, 0), whose factor min(x, 0) is exactly 0 beyond the wall, then
+    multiplied in place by sqrt(2), so no select is needed and the values
+    are bit for bit sqrt(2) * psi_node_packet(min(x, 0)).
     """
     _require_zero_offset(sp)
-    return _times_node_factor(sp, np.minimum(np.asarray(x, dtype=float), 0.0), t, math.sqrt(2.0))
+    out = _gaussian(sp, np.minimum(np.asarray(x, dtype=float), 0.0), t, 1)
+    out *= math.sqrt(2.0)
+    return out[()]
 
 
 def wall_packet_moments(sp: PacketParams, t: float) -> Moments:

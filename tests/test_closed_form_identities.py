@@ -220,8 +220,9 @@ def _nearest_roots(a, b, c, targets):
 
 def test_large_half_angle_tangent_stays_finite_and_exact():
     # points where theta/2 is near an odd multiple of pi/2, so that
-    # h = tan(theta/2) is huge and cos(theta) near -1: in psi_free's phase
-    # and in the bouncer's mirror factor
+    # h = tan(theta/2) is huge and cos(theta) near -1: in psi_free's phase,
+    # in the node packet's (theta/2 + pi/4 - atan(tau)/2) and in the
+    # bouncer's mirror factor
     p = PacketParams(x0=-3.0, p0=2.0, alpha=0.8, hbar=0.7, mass=1.3)
     bp = BouncerParams(p)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -240,6 +241,15 @@ def test_large_half_angle_tangent_stays_finite_and_exact():
             got = psi_free(p, x, t)
             assert np.all(np.isfinite(got))
             _assert_close(got, ref_psi_free(p, x, t), tol=1e-13)
+            c_node = c + 0.25 * math.pi - 0.5 * math.atan(tau)
+            u = _nearest_roots(a, b, c_node, odd)
+            x = p.center(t) + u[np.abs(u) < 4.0 * math.sqrt(bt2)]
+            x = np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+            half = (x - p.center(t)) * ((x - p.center(t)) * a + b) + c_node
+            assert np.max(np.abs(np.tan(half))) > 1e10
+            got = psi_node_packet(p, x, t)
+            assert np.all(np.isfinite(got))
+            _assert_close(got, ref_psi_node(p, x, t), tol=1e-13)
             # the mirror factor's half angle is Im(q)/2 = -s*Im(k)*x for x < 0
             big_x = p.center(t)
             k = 1j * p.p0 / p.hbar + big_x / (p.beta**2 * (1.0 + 1j * tau))

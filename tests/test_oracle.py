@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -527,6 +528,26 @@ def test_overlap_matches_reference_kernel(n):
     scale = math.sqrt(ref_moment_x(a, 0) * ref_moment_x(b, 0))
     assert abs(overlap(a, b) - ref_overlap(a, b)) <= 1e-13 * scale
     assert abs(overlap(b, a) - ref_overlap(b, a)) <= 1e-13 * scale
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_moments_allocate_no_extra_squared_modulus():
+    # |psi|^2 is formed as re^2 + im^2 through a block-sized im^2 row: the
+    # density (8 bytes a point) is moment_x's only grid-sized array, and
+    # moment_p's are its two difference arrays and the |psi'|^2 row (40)
+    grid = GridSpec(-30.0, 600_001, 30.0)
+    state = sample(lambda x, t: psi_free(PP, x, t), grid, 0.0)
+    n = grid.n_points
+    assert _traced_peak(moment_x, state, 0) <= 1.25 * 8 * n
+    assert _traced_peak(moment_p, state, 2, hbar=1.0) <= 5.25 * 8 * n
 
 
 def test_cli_bytes_do_not_depend_on_blas_threads():
