@@ -17,17 +17,18 @@ normalization N, the even moments ``<x^2>`` and ``<p^2>``, and the
 autocorrelation available in closed form.  Odd moments are not given in
 closed form here; the exact values are left to the numerical oracle.
 
-Geometry convention: the physical packet lives at x <= 0, so constructors
-require x0 <= 0, and p0 > 0 means "moving toward the wall".  The
-classical collision time t_c = -mass*x0/p0 exists only for x0 < 0,
-p0 > 0.
+Every function takes the free packet's PacketParams.  Geometry
+convention: the physical packet lives at x <= 0, so x0 <= 0, and p0 > 0
+means "moving toward the wall".  No type enforces this: BouncerParams()
+and the CLI check it.  The classical collision time
+PacketParams.collision_time = -mass*x0/p0 exists only for x0 < 0 < p0.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -106,35 +107,17 @@ def overlap_correction(z: float) -> float:
     return z * math.exp(-z) / (-math.expm1(-z))
 
 
-@dataclass(frozen=True)
-class BouncerParams:
-    """Gaussian packet on the half-line x <= 0 with a wall at x = 0."""
-
-    base: PacketParams
-
-    def __post_init__(self):
-        if self.base.x0 > 0.0:
-            raise ValueError(
-                f"bouncing packet must start at x0 <= 0 (wall at x = 0), got x0 = {self.base.x0!r}"
-            )
-
-    @property
-    def phase_space_distance(self) -> float:
-        return phase_space_distance(self.base)
-
-    @property
-    def norm_constant(self) -> float:
-        return mirror_normalization(self.base)
-
-    @property
-    def collision_time(self) -> float | None:
-        """Classical wall-hit time -mass*x0/p0, or None if the packet never hits."""
-        if self.base.x0 < 0.0 and self.base.p0 > 0.0:
-            return -self.base.mass * self.base.x0 / self.base.p0
-        return None
+def BouncerParams(params: PacketParams) -> PacketParams:
+    """The half-line geometry check: returns params itself, or raises
+    ValueError if the packet starts beyond the wall (x0 > 0)."""
+    if params.x0 > 0.0:
+        raise ValueError(
+            f"bouncing packet must start at x0 <= 0 (wall at x = 0), got x0 = {params.x0!r}"
+        )
+    return params
 
 
-def psi_bouncer(bp: BouncerParams, x, t: float):
+def psi_bouncer(params: PacketParams, x, t: float):
     """Normalized mirror-difference wavefunction on the half-line.
 
     Returns N*[psi(x,t) - psi(-x,t)] for x < 0 and exactly 0 for
@@ -156,17 +139,16 @@ def psi_bouncer(bp: BouncerParams, x, t: float):
     round-off where e is near 1, and where e is small |expm1(q)| >= 1 - e
     is not.
     """
-    base = bp.base
-    big_x = base.center(t)
-    k = 1j * base.p0 / base.hbar + big_x / (base.beta**2 * (1.0 + 1j * t / base.t0))
+    big_x = params.center(t)
+    k = 1j * params.p0 / params.hbar + big_x / (params.beta**2 * (1.0 + 1j * t / params.t0))
     s = -1.0 if big_x > 0.0 else 1.0
-    image = base if s > 0.0 else replace(base, x0=-base.x0, p0=-base.p0)
+    image = params if s > 0.0 else replace(params, x0=-params.x0, p0=-params.p0)
     x = np.asarray(x, dtype=float)
     out = np.asarray(psi_free(image, x, t))
     # Re q = re_q*min(x, 0) and Im q/2 = half_im_q*min(x, 0); scale = -s*N
     re_q = -2.0 * s * k.real
     half_im_q = -s * k.imag
-    scale = -s * bp.norm_constant
+    scale = -s * mirror_normalization(params)
     work = np.empty((7, min(x.size, _BLOCK)))
     factor = work[5:].reshape(-1).view(complex)  # the last two rows
     for xb, ob in _blocks(x, out):
@@ -191,43 +173,43 @@ def psi_bouncer(bp: BouncerParams, x, t: float):
     return out[()]
 
 
-def position_second_moment(bp: BouncerParams, t: float) -> float:
+def position_second_moment(params: PacketParams, t: float) -> float:
     """Exact <x^2> at time t: free value X(t)**2 + beta_t**2/2 plus the
     wall correction beta_t**2 * overlap_correction(distance)."""
-    bt2 = bp.base.beta_t(t) ** 2
-    free = bp.base.center(t) ** 2 + 0.5 * bt2
-    return free + bt2 * overlap_correction(bp.phase_space_distance)
+    bt2 = params.beta_t(t) ** 2
+    free = params.center(t) ** 2 + 0.5 * bt2
+    return free + bt2 * overlap_correction(phase_space_distance(params))
 
 
-def momentum_second_moment(bp: BouncerParams) -> float:
+def momentum_second_moment(params: PacketParams) -> float:
     """Exact, time-independent <p^2>: free value p0**2 + hbar**2/(2*beta**2)
     plus (hbar/beta)**2 * overlap_correction(distance).
 
     Conserved because the Hamiltonian on the half-line is
     time-independent.
     """
-    hb2 = (bp.base.hbar / bp.base.beta) ** 2
-    free = bp.base.p0**2 + 0.5 * hb2
-    return free + hb2 * overlap_correction(bp.phase_space_distance)
+    hb2 = (params.hbar / params.beta) ** 2
+    free = params.p0**2 + 0.5 * hb2
+    return free + hb2 * overlap_correction(phase_space_distance(params))
 
 
-def energy_shift(bp: BouncerParams) -> float:
+def energy_shift(params: PacketParams) -> float:
     """Relative kinetic-energy increase caused by the wall.
 
     Equals 2*overlap_correction(distance) / (1 + 2*(p0*beta/hbar)**2),
     which is exactly (<p^2>_wall - <p^2>_free)/<p^2>_free; the wall far
     away in phase space perturbs the energy only exponentially little.
     """
-    b = bp.base.p0 * bp.base.beta / bp.base.hbar
-    return 2.0 * overlap_correction(bp.phase_space_distance) / (1.0 + 2.0 * b * b)
+    b = params.p0 * params.beta / params.hbar
+    return 2.0 * overlap_correction(phase_space_distance(params)) / (1.0 + 2.0 * b * b)
 
 
-def in_expansion_window(bp: BouncerParams, t: float) -> bool:
+def in_expansion_window(params: PacketParams, t: float) -> bool:
     """True when |X(t)| <= beta_t, the regime of the near-collision expansion."""
-    return abs(bp.base.center(t)) <= bp.base.beta_t(t)
+    return abs(params.center(t)) <= params.beta_t(t)
 
 
-def x_mean_near_collision(bp: BouncerParams, t: float, terms: int = 2) -> float:
+def x_mean_near_collision(params: PacketParams, t: float, terms: int = 2) -> float:
     """Near-collision expansion of <x> in powers of the classical center X(t).
 
     terms=1 gives the leading value -beta_t/sqrt(pi); terms=2 adds
@@ -237,8 +219,8 @@ def x_mean_near_collision(bp: BouncerParams, t: float, terms: int = 2) -> float:
     """
     if terms not in (1, 2):
         raise ValueError(f"terms must be 1 or 2, got {terms!r}")
-    bt = bp.base.beta_t(t)
-    big_x = bp.base.center(t)
+    bt = params.beta_t(t)
+    big_x = params.center(t)
     if abs(big_x) > bt:
         warnings.warn(
             f"|X(t)| = {abs(big_x):.4g} exceeds beta_t = {bt:.4g}; "
@@ -252,14 +234,14 @@ def x_mean_near_collision(bp: BouncerParams, t: float, terms: int = 2) -> float:
     return value
 
 
-def _require_collision_time(bp: BouncerParams) -> float:
-    tc = bp.collision_time
+def _require_collision_time(params: PacketParams) -> float:
+    tc = params.collision_time
     if tc is None:
         raise ValueError("collision time undefined: requires x0 < 0 and p0 > 0")
     return tc
 
 
-def p_mean_at_collision(bp: BouncerParams) -> float:
+def p_mean_at_collision(params: PacketParams) -> float:
     """<p> at the classical collision time.
 
     -(hbar/(beta*sqrt(pi))) * (t_c/t0)/sqrt(1 + (t_c/t0)**2), tending to
@@ -267,29 +249,29 @@ def p_mean_at_collision(bp: BouncerParams) -> float:
     momentum components have already reflected by t_c while the slow
     ones have not.
     """
-    tc = _require_collision_time(bp)
-    s = tc / bp.base.t0
-    return -(bp.base.hbar / (bp.base.beta * _SQRT_PI)) * s / math.sqrt(1.0 + s * s)
+    tc = _require_collision_time(params)
+    s = tc / params.t0
+    return -(params.hbar / (params.beta * _SQRT_PI)) * s / math.sqrt(1.0 + s * s)
 
 
-def effective_force(bp: BouncerParams) -> float:
+def effective_force(params: PacketParams) -> float:
     """Effective wall force m*d2<x>/dt2 at the collision time:
     -(2/sqrt(pi)) * p0**2/(mass*beta_t(t_c))."""
-    tc = _require_collision_time(bp)
-    return -(2.0 / _SQRT_PI) * bp.base.p0**2 / (bp.base.mass * bp.base.beta_t(tc))
+    tc = _require_collision_time(params)
+    return -(2.0 / _SQRT_PI) * params.p0**2 / (params.mass * params.beta_t(tc))
 
 
-def collision_force_scale(bp: BouncerParams) -> float:
+def collision_force_scale(params: PacketParams) -> float:
     """Dimensional estimate -2*p0**2/(mass*beta_t(t_c)) of the collision force.
 
     Momentum transfer ~ -2*p0 over a crossing time ~ beta_t*mass/p0; the
     exact coefficient is 1/sqrt(pi) of this.
     """
-    tc = _require_collision_time(bp)
-    return -2.0 * bp.base.p0**2 / (bp.base.mass * bp.base.beta_t(tc))
+    tc = _require_collision_time(params)
+    return -2.0 * params.p0**2 / (params.mass * params.beta_t(tc))
 
 
-def autocorrelation_bouncer(bp: BouncerParams, t: float) -> complex:
+def autocorrelation_bouncer(params: PacketParams, t: float) -> complex:
     """Overlap of the bouncing packet at time t with its initial state.
 
     Equals the free autocorrelation times the mirror factor
@@ -297,8 +279,8 @@ def autocorrelation_bouncer(bp: BouncerParams, t: float) -> complex:
     modulus decreases monotonically, with no visible signature of the
     collision itself.
     """
-    mirror_normalization(bp.base)  # raises DegenerateMirrorError at distance 0
-    z = bp.phase_space_distance
-    u = 1.0 + 0.5j * t / bp.base.t0
+    mirror_normalization(params)  # raises DegenerateMirrorError at distance 0
+    z = phase_space_distance(params)
+    u = 1.0 + 0.5j * t / params.t0
     factor = np.expm1(-z / u) / math.expm1(-z)
-    return complex(autocorrelation_free(bp.base, t) * factor)
+    return complex(autocorrelation_free(params, t) * factor)

@@ -20,15 +20,16 @@ import numpy as np
 
 from .bouncer import (
     BouncerParams,
-    DegenerateMirrorError,
     autocorrelation_bouncer,
     in_expansion_window,
+    mirror_normalization,
     momentum_second_moment,
     position_second_moment,
     psi_bouncer,
     x_mean_near_collision,
 )
 from .oracle import (
+    MAX_GRID_POINTS,
     GridSpec,
     StencilConvergenceError,
     TailCaptureError,
@@ -41,6 +42,7 @@ from .oracle import (
 )
 from .packets import PacketParams, autocorrelation_free, free_moments, psi_free
 from .special import (
+    _require_zero_offset,
     node_packet_moments,
     psi_node_packet,
     psi_wall_packet,
@@ -74,15 +76,20 @@ _ROWS_PER_WRITE = 512
 class _Kind(NamedTuple):
     """What the commands use of one solution family.
 
-    Each function takes the run's PacketParams first.  The entries below
-    call library functions by their names in this module at call time, so
-    rebinding a name here (as a tracer does) reaches every kind.
+    Each function takes the run's PacketParams first.  default is the
+    (x0, p0) a run uses when it gives none, and check is the library's own
+    admissibility check for the kind, which raises ValueError for
+    parameters the kind cannot take.  The entries below call library
+    functions by their names in this module at call time, so rebinding a
+    name here (as a tracer does) reaches every kind.
     """
 
     psi: Callable  # (params, x, t) -> psi(x, t)
     exact: Callable  # (params, t) -> (<x^2>, <p^2>, classical <x>, near-wall <x> or None)
     half_line: bool
     autocorr: Callable | None  # (params, t) -> A(t), or None without a closed form
+    default: tuple[float, float]  # (x0, p0)
+    check: Callable | None  # (params) -> raises ValueError, or None if any params will do
 
 
 def _from_moments(m, classical):
@@ -90,10 +97,12 @@ def _from_moments(m, classical):
 
 
 def _bouncer_exact(params: PacketParams, t: float):
-    bp = BouncerParams(params)
-    approx = x_mean_near_collision(bp, t) if in_expansion_window(bp, t) else None
-    return position_second_moment(bp, t), momentum_second_moment(bp), -abs(params.center(t)), approx
+    approx = x_mean_near_collision(params, t) if in_expansion_window(params, t) else None
+    return position_second_moment(params, t), momentum_second_moment(params), -abs(params.center(t)), approx
 
+
+#: a representative bouncing configuration: offset -10 beta, momentum 5
+_BOUNCING = (-10.0, 5.0)
 
 _KINDS = {
     "free": _Kind(
@@ -101,25 +110,33 @@ _KINDS = {
         lambda p, t: _from_moments(free_moments(p, t), p.center(t)),
         False,
         lambda p, t: autocorrelation_free(p, t),
+        _BOUNCING,
+        None,
     ),
     "free-node": _Kind(
         lambda p, x, t: psi_node_packet(p, x, t),
         lambda p, t: _from_moments(node_packet_moments(p, t), p.center(t)),
         False,
         None,
+        _BOUNCING,
+        None,
     ),
     "bouncer": _Kind(
-        lambda p, x, t: psi_bouncer(BouncerParams(p), x, t),
+        lambda p, x, t: psi_bouncer(p, x, t),
         _bouncer_exact,
         True,
-        lambda p, t: autocorrelation_bouncer(BouncerParams(p), t),
+        lambda p, t: autocorrelation_bouncer(p, t),
+        _BOUNCING,
+        lambda p: mirror_normalization(BouncerParams(p)),
     ),
-    # the wall packet sits at the origin, so its classical <x> is the wall
+    # the wall packet is pinned at the origin, so its classical <x> is the wall
     "wall": _Kind(
         lambda p, x, t: psi_wall_packet(p, x, t),
         lambda p, t: _from_moments(wall_packet_moments(p, t), 0.0),
         True,
         None,
+        (0.0, 0.0),
+        lambda p: _require_zero_offset(p),
     ),
 }
 KINDS = tuple(_KINDS)
@@ -225,27 +242,20 @@ def _resolve(args) -> RunConfig:
                 raise CliError(f"unknown criteria: {', '.join(sorted(unknown))}")
         return RunConfig(*common, criteria=criteria)
 
-    kind = args.kind
-    # the wall packet is pinned at the origin; other kinds default to a
-    # representative bouncing configuration (offset -10 beta, momentum 5)
-    default_x0, default_p0 = (0.0, 0.0) if kind == "wall" else (-10.0, 5.0)
-    x0 = default_x0 if args.x0 is None else args.x0
-    p0 = default_p0 if args.p0 is None else args.p0
+    kind = _KINDS[args.kind]
+    x0 = kind.default[0] if args.x0 is None else args.x0
+    p0 = kind.default[1] if args.p0 is None else args.p0
     try:
         params = PacketParams(x0=x0, p0=p0, alpha=args.alpha, hbar=args.hbar, mass=args.mass)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if kind == "wall" and (x0 != 0.0 or p0 != 0.0):
-        raise CliError("kind=wall requires x0 = 0 and p0 = 0")
-    if kind == "bouncer":
-        if x0 > 0.0:
-            raise CliError("kind=bouncer requires x0 <= 0 (wall at x = 0)")
-        if x0 == 0.0 and p0 == 0.0:
-            raise CliError(
-                "kind=bouncer is degenerate at x0 = p0 = 0; use kind=wall instead"
-            )
+    if kind.check is not None:
+        try:
+            kind.check(params)
+        except ValueError as exc:
+            raise CliError(f"kind={args.kind}: {exc}") from exc
 
-    tc = BouncerParams(params).collision_time if kind == "bouncer" else None
+    tc = params.collision_time if kind.half_line else None
     default_tmax = 4.0 * params.t0 if tc is None else 2.0 * tc
     tmin = args.tmin
     tmax = default_tmax if args.tmax is None else args.tmax
@@ -254,9 +264,10 @@ def _resolve(args) -> RunConfig:
         raise CliError(f"tmin and tmax must be finite, got tmin = {tmin}, tmax = {tmax}")
     if tmin > tmax:
         raise CliError(f"tmin = {tmin} must be <= tmax = {tmax}")
-    if nt < 1:
-        raise CliError(f"nt must be >= 1, got {nt}")
-    return RunConfig(*common, kind, params, tmin, tmax, nt)
+    # bounded before linspace allocates the nt times
+    if not 1 <= nt <= MAX_GRID_POINTS:
+        raise CliError(f"nt must be between 1 and {MAX_GRID_POINTS}, got {nt}")
+    return RunConfig(*common, args.kind, params, tmin, tmax, nt)
 
 
 def _wavefunction(cfg: RunConfig):
@@ -562,7 +573,7 @@ def main(argv=None) -> int:
         return _run(_COMMANDS[args.command][0], _resolve(args))
     except _Exit as exc:
         return exc.args[0]
-    except (CliError, DegenerateMirrorError, OSError) as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TailCaptureError, StencilConvergenceError) as exc:

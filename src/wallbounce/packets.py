@@ -96,6 +96,13 @@ class PacketParams:
         """Classical free-flight center X(t) = x0 + p0*t/mass."""
         return self.x0 + self.p0 * t / self.mass
 
+    @property
+    def collision_time(self) -> float | None:
+        """Classical wall-hit time -mass*x0/p0, or None unless x0 < 0 < p0."""
+        if self.x0 < 0.0 < self.p0:
+            return -self.mass * self.x0 / self.p0
+        return None
+
 
 @dataclass(frozen=True)
 class Moments:

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bouncer import (
-    BouncerParams,
     autocorrelation_bouncer,
     collision_force_scale,
     effective_force,
     energy_shift,
+    mirror_normalization,
     momentum_second_moment,
     p_mean_at_collision,
     position_second_moment,
@@ -65,8 +65,8 @@ class CriterionResult:
     measured: dict = field(default_factory=dict)
 
 
-def _state(bp: BouncerParams, grid: GridSpec, t: float) -> GridState:
-    return sample(lambda x, tt: psi_bouncer(bp, x, tt), grid, t)
+def _state(params: PacketParams, grid: GridSpec, t: float) -> GridState:
+    return sample(lambda x, tt: psi_bouncer(params, x, tt), grid, t)
 
 
 def _check_normalization():
@@ -78,15 +78,12 @@ def _check_normalization():
         params = PacketParams(
             x0=-math.sqrt(z) * math.cos(theta), p0=math.sqrt(z) * math.sin(theta), alpha=1.0
         )
-        bp = BouncerParams(params)
-        n2 = bp.norm_constant**2
-        grid = half_line_grid(params, 2.0 * bp.collision_time, pad=13.0)
+        n = mirror_normalization(params)
+        grid = half_line_grid(params, 2.0 * params.collision_time, pad=13.0)
         xs = grid.points()
-        for t, bucket in ((0.0, 0), (2.0 * bp.collision_time, 1)):
-            raw = GridState(
-                grid, psi_bouncer(bp, xs, t) / bp.norm_constant, t
-            )
-            err = abs(n2 * moment_x(raw, 0) - 1.0)
+        for t, bucket in ((0.0, 0), (2.0 * params.collision_time, 1)):
+            raw = GridState(grid, psi_bouncer(params, xs, t) / n, t)
+            err = abs(n**2 * moment_x(raw, 0) - 1.0)
             if bucket == 0:
                 worst0 = max(worst0, err)
             else:
@@ -97,17 +94,16 @@ def _check_normalization():
 
 
 def _check_even_moments(grid_override):
-    bp = BouncerParams(DEMO_PARAMS)
-    t_max = 3.0 * bp.collision_time
+    t_max = 3.0 * DEMO_PARAMS.collision_time
     grid = grid_override or half_line_grid(DEMO_PARAMS, t_max)
     worst_x2 = worst_p2 = 0.0
-    p2_closed = momentum_second_moment(bp)
+    p2_closed = momentum_second_moment(DEMO_PARAMS)
     p2_vals = []
     for t in np.linspace(0.0, t_max, 9):
-        st = _state(bp, grid, float(t))
+        st = _state(DEMO_PARAMS, grid, float(t))
         x2 = moment_x(st, 2)
         p2 = moment_p(st, 2, hbar=DEMO_PARAMS.hbar, rtol=2e-6)
-        worst_x2 = max(worst_x2, abs(x2 - position_second_moment(bp, float(t))) / x2)
+        worst_x2 = max(worst_x2, abs(x2 - position_second_moment(DEMO_PARAMS, float(t))) / x2)
         worst_p2 = max(worst_p2, abs(p2 - p2_closed) / p2_closed)
         p2_vals.append(p2)
     spread = (max(p2_vals) - min(p2_vals)) / p2_closed
@@ -120,29 +116,28 @@ def _check_even_moments(grid_override):
 
 
 def _check_energy_shift_limit():
-    bp = BouncerParams(PacketParams(x0=0.0, p0=0.0, alpha=1.0))
-    p2_free = free_moments(bp.base, 0.0).p2_mean
-    exact_ratio = (momentum_second_moment(bp) - p2_free) / p2_free
+    params = PacketParams(x0=0.0, p0=0.0, alpha=1.0)
+    p2_free = free_moments(params, 0.0).p2_mean
+    exact_ratio = (momentum_second_moment(params) - p2_free) / p2_free
     err_ratio = abs(exact_ratio - 2.0)
-    err_shift = abs(energy_shift(bp) - 2.0)
+    err_shift = abs(energy_shift(params) - 2.0)
     passed = err_ratio < 1e-12 and err_shift < 1e-12
     detail = f"|ratio - 2| = {err_ratio:.3e}, |shift - 2| = {err_shift:.3e} (tol 1e-12)"
     return passed, detail, {"ratio_err": err_ratio, "shift_err": err_shift}
 
 
 def _check_collision_position():
-    bp = BouncerParams(NEAR_PARAMS)
-    tc = bp.collision_time
+    tc = NEAR_PARAMS.collision_time
     grid = half_line_grid(NEAR_PARAMS, tc + 0.7)
-    x_num = moment_x(_state(bp, grid, tc), 1)
-    lead = x_mean_near_collision(bp, tc, terms=1)
+    x_num = moment_x(_state(NEAR_PARAMS, grid, tc), 1)
+    lead = x_mean_near_collision(NEAR_PARAMS, tc, terms=1)
     rel = abs(lead - x_num) / abs(x_num)
     improved = []
     for dt in (-0.6, -0.3, 0.3, 0.45, 0.6):
         t = tc + dt
-        xn = moment_x(_state(bp, grid, t), 1)
-        e1 = abs(x_mean_near_collision(bp, t, terms=1) - xn)
-        e2 = abs(x_mean_near_collision(bp, t, terms=2) - xn)
+        xn = moment_x(_state(NEAR_PARAMS, grid, t), 1)
+        e1 = abs(x_mean_near_collision(NEAR_PARAMS, t, terms=1) - xn)
+        e2 = abs(x_mean_near_collision(NEAR_PARAMS, t, terms=2) - xn)
         improved.append(e2 < e1)
     passed = rel < 0.05 and all(improved)
     detail = (
@@ -158,11 +153,10 @@ def _check_collision_momentum():
     asymptote = -1.0 / (math.sqrt(math.pi) * NEAR_PARAMS.alpha)
     for tc_over_t0 in (3.0, 10.0, 30.0):
         params = PacketParams(x0=-3.0 * tc_over_t0, p0=3.0, alpha=1.0)
-        bp = BouncerParams(params)
-        tc = bp.collision_time
-        closed = p_mean_at_collision(bp)
+        tc = params.collision_time
+        closed = p_mean_at_collision(params)
         grid = half_line_grid(params, tc)
-        numeric = moment_p(_state(bp, grid, tc), 1, hbar=params.hbar, rtol=1e-3)
+        numeric = moment_p(_state(params, grid, tc), 1, hbar=params.hbar, rtol=1e-3)
         worst = max(worst, abs(closed - numeric) / abs(numeric))
         dists.append(abs(closed - asymptote))
     monotone = all(a > b for a, b in zip(dists, dists[1:]))
@@ -175,15 +169,14 @@ def _check_collision_momentum():
 
 
 def _check_effective_force():
-    bp = BouncerParams(NEAR_PARAMS)
-    tc = bp.collision_time
+    tc = NEAR_PARAMS.collision_time
     grid = half_line_grid(NEAR_PARAMS, tc + 0.2)
     d = 0.05 * NEAR_PARAMS.t0
-    xs = [moment_x(_state(bp, grid, t), 1) for t in (tc - d, tc, tc + d)]
+    xs = [moment_x(_state(NEAR_PARAMS, grid, t), 1) for t in (tc - d, tc, tc + d)]
     fd = NEAR_PARAMS.mass * (xs[2] - 2.0 * xs[1] + xs[0]) / d**2
-    closed = effective_force(bp)
+    closed = effective_force(NEAR_PARAMS)
     rel = abs(fd - closed) / abs(closed)
-    ratio = fd / collision_force_scale(bp)
+    ratio = fd / collision_force_scale(NEAR_PARAMS)
     ratio_rel = abs(ratio - 1.0 / math.sqrt(math.pi)) / (1.0 / math.sqrt(math.pi))
     passed = rel < 0.15 and ratio_rel < 0.15
     detail = (
@@ -194,16 +187,15 @@ def _check_effective_force():
 
 
 def _check_autocorrelation(grid_override):
-    bp = BouncerParams(DEMO_PARAMS)
-    t_max = 3.0 * bp.collision_time
+    t_max = 3.0 * DEMO_PARAMS.collision_time
     grid = grid_override or half_line_grid(DEMO_PARAMS, t_max)
-    ref = _state(bp, grid, 0.0)
+    ref = _state(DEMO_PARAMS, grid, 0.0)
     ts = np.linspace(0.0, t_max, 25)
     worst = 0.0
     mags = []
     for t in ts:
-        closed = autocorrelation_bouncer(bp, float(t))
-        numeric = overlap(ref, _state(bp, grid, float(t)))
+        closed = autocorrelation_bouncer(DEMO_PARAMS, float(t))
+        numeric = overlap(ref, _state(DEMO_PARAMS, grid, float(t)))
         worst = max(worst, abs(closed - numeric))
         mags.append(abs(closed))
     monotone = all(a > b for a, b in zip(mags, mags[1:]))
@@ -259,12 +251,12 @@ def _check_uncertainty_coefficients():
 
 def _check_zero_distance_limit():
     eps = math.sqrt(5e-7)  # distance 1e-6 split evenly
-    bp = BouncerParams(PacketParams(x0=-eps, p0=eps, alpha=1.0))
+    params = PacketParams(x0=-eps, p0=eps, alpha=1.0)
     sp = SpecialParams(beta=1.0)
     xs = np.linspace(-8.0, 0.0, 321)
     worst = 0.0
     for t in (0.0, 0.3, 1.0, 2.5, 6.0):
-        a = np.abs(psi_bouncer(bp, xs, float(t)))
+        a = np.abs(psi_bouncer(params, xs, float(t)))
         b = np.abs(psi_wall_packet(sp, xs, float(t)))
         worst = max(worst, float(np.max(np.abs(a - b))))
     passed = worst < 1e-3
@@ -272,28 +264,26 @@ def _check_zero_distance_limit():
     return passed, detail, {"worst": worst}
 
 
-def _propagation_error(bp: BouncerParams, points_per_beta: int, dt_divisor: int) -> float:
-    params = bp.base
-    t_final = 2.0 * bp.collision_time
+def _propagation_error(params: PacketParams, points_per_beta: int, dt_divisor: int) -> float:
+    t_final = 2.0 * params.collision_time
     pad = 8.0 * params.beta_t(t_final)
     h = params.beta / points_per_beta
     n = int(math.ceil((pad + abs(params.x0)) / h)) | 1
     grid = GridSpec(params.x0 - pad, n, 0.0)
     dt = params.t0 / dt_divisor
     steps = int(round(t_final / dt))
-    start = _state(bp, grid, 0.0)
+    start = _state(params, grid, 0.0)
     evolved = propagate(start, dt, steps, hbar=params.hbar, mass=params.mass)
     # compare at the time the stepper actually landed on (steps * dt)
-    exact = _state(bp, grid, evolved.time)
+    exact = _state(params, grid, evolved.time)
     return math.sqrt(float(np.sum(np.abs(evolved.values - exact.values) ** 2)) * grid.h)
 
 
 def _check_propagator():
     # convergence-study grid: h = beta/200, dt = t0/4000 (stated bounds are
     # h <= beta/200, dt <= t0/2000); halving both isolates the O(dt^2) term
-    bp = BouncerParams(DEMO_PARAMS)
-    err_coarse = _propagation_error(bp, 200, 4000)
-    err_fine = _propagation_error(bp, 400, 8000)
+    err_coarse = _propagation_error(DEMO_PARAMS, 200, 4000)
+    err_fine = _propagation_error(DEMO_PARAMS, 400, 8000)
     ratio = err_coarse / err_fine
     passed = err_coarse < 1e-4 and abs(ratio / 4.0 - 1.0) < 0.20
     detail = (

@@ -1,8 +1,14 @@
 """Acceptance suite: one test per criterion, printed as PASS/FAIL lines."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from wallbounce.validation import CRITERION_IDS, run_all
+
+#: run_all()'s measured values, written by tests/reference/regenerate.py
+MEASURED = Path(__file__).parent / "reference" / "measured.json"
 
 
 @pytest.fixture(scope="module")
@@ -21,3 +27,18 @@ def test_criterion(results, cid):
     r = results[cid]
     print(f"{'PASS' if r.passed else 'FAIL'} {r.cid}: {r.description} | {r.detail}")
     assert r.passed, f"{r.cid} failed: {r.detail}"
+
+
+def test_measured_values_match_the_reference(results):
+    # ints and bools exactly, floats to round-off: max(1e-14, 1e-10*|v|)
+    reference = json.loads(MEASURED.read_text())
+    assert list(reference) == CRITERION_IDS
+    for cid, want in reference.items():
+        got = results[cid].measured
+        assert list(got) == list(want), cid
+        for key, value in want.items():
+            if type(value) is float:
+                bound = max(1e-14, 1e-10 * abs(value))
+                assert isinstance(got[key], float) and abs(got[key] - value) <= bound, (cid, key, got[key], value)
+            else:
+                assert type(got[key]) is type(value) and got[key] == value, (cid, key, got[key], value)

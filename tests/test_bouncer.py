@@ -70,6 +70,14 @@ def test_constructor_rejects_positive_x0():
         BouncerParams(PacketParams(x0=0.5, p0=1.0, alpha=1.0))
 
 
+@pytest.mark.parametrize("x0, p0", [(-10.0, 5.0), (0.0, 1.0), (-1.0, -1.0), (0.0, 0.0)])
+def test_constructor_returns_its_packet_params(x0, p0):
+    # a check, not a second parameter type: the bouncer takes PacketParams
+    p = PacketParams(x0=x0, p0=p0, alpha=1.0)
+    assert type(BouncerParams(p)) is PacketParams
+    assert BouncerParams(p) is p
+
+
 def test_phase_space_distance_values():
     p = PacketParams(x0=-3.0, p0=4.0, alpha=1.0)
     assert phase_space_distance(p) == pytest.approx(25.0, abs=1e-14)
@@ -95,6 +103,9 @@ def test_collision_time():
     assert BouncerParams(DEMO).collision_time == pytest.approx(2.0)
     assert BouncerParams(PacketParams(x0=-1.0, p0=-1.0, alpha=1.0)).collision_time is None
     assert BouncerParams(PacketParams(x0=0.0, p0=1.0, alpha=1.0)).collision_time is None
+    assert PacketParams(x0=-4.0, p0=2.0, alpha=1.0, mass=3.0).collision_time == 6.0
+    for x0, p0 in [(0.0, 1.0), (0.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (-1.0, -2.0), (1.0, -1.0)]:
+        assert PacketParams(x0=x0, p0=p0, alpha=1.0).collision_time is None, (x0, p0)
 
 
 # ------------------------------------------------------------- normalization
@@ -289,7 +300,7 @@ def test_x_mean_symmetric_in_center_offset(near_bp):
     for delta in (0.1, 0.4):
         ahead = BouncerParams(PacketParams(x0=NEAR.x0 + delta, p0=NEAR.p0, alpha=NEAR.alpha))
         behind = BouncerParams(PacketParams(x0=NEAR.x0 - delta, p0=NEAR.p0, alpha=NEAR.alpha))
-        assert ahead.base.center(tc) == pytest.approx(-behind.base.center(tc), abs=1e-12)
+        assert ahead.center(tc) == pytest.approx(-behind.center(tc), abs=1e-12)
         assert x_mean_near_collision(ahead, tc) == pytest.approx(
             x_mean_near_collision(behind, tc), rel=1e-12
         )

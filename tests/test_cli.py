@@ -185,6 +185,7 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
         ["validate", "--kind", "free"],
         ["moments", "--config", str(bad_value)],
         ["moments", "--config", str(bad_key)],
+        ["moments", "--kind", "free", "--nt", "1000000000"],  # refused before allocating
     ]:
         assert run_cli(tmp_path, *argv)[0] == 2, argv
         err = capsys.readouterr().err
@@ -194,6 +195,24 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
         if argv[-1] == str(bad_key):
             assert f"{bad_key}:3: " in err
     assert set(tmp_path.iterdir()) == {bad_value, bad_key}  # no output file
+
+
+@pytest.mark.parametrize(
+    "argv, lead",
+    [
+        (["moments", "--kind", "bouncer", "--x0", "1"], "kind=bouncer: "),
+        (["moments", "--kind", "bouncer", "--x0", "0", "--p0", "0"], "kind=bouncer: "),
+        (["density", "--kind", "wall", "--p0", "2"], "kind=wall: "),
+        (["autocorr", "--kind", "wall", "--x0", "-1"], "kind=wall: "),
+        # PacketParams's own checks hold for every kind, so they name none
+        (["moments", "--kind", "bouncer", "--alpha", "-1"], "alpha must be positive, got -1.0\n"),
+    ],
+)
+def test_kind_rejection_names_the_kind(tmp_path, capsys, argv, lead):
+    assert run_cli(tmp_path, *argv)[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {lead}") and err.count("\n") == 1, err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["density", "--help"], ["validate", "-h"]])

@@ -30,6 +30,8 @@ from wallbounce import (
     SpecialParams,
     autocorrelation_bouncer,
     autocorrelation_free,
+    mirror_normalization,
+    phase_space_distance,
     psi_bouncer,
     psi_free,
     psi_node_packet,
@@ -64,8 +66,8 @@ def ref_psi_wall(p, x, t):
 
 
 def ref_psi_bouncer(bp, x, t):
-    diff = ref_psi_free(bp.base, x, t) - ref_psi_free(bp.base, -x, t)
-    return np.where(x < 0.0, bp.norm_constant * diff, 0.0 + 0.0j)
+    diff = ref_psi_free(bp, x, t) - ref_psi_free(bp, -x, t)
+    return np.where(x < 0.0, mirror_normalization(bp) * diff, 0.0 + 0.0j)
 
 
 def _random_cases(n=300, seed=20260418):
@@ -108,7 +110,7 @@ def test_closed_forms_match_reference_formulas():
             _assert_close(psi_free(p, x, t), ref_psi_free(p, x, t))
             _assert_close(psi_node_packet(p, x, t), ref_psi_node(p, x, t))
             bp = BouncerParams(p)
-            assert bp.phase_space_distance >= 1e-2
+            assert phase_space_distance(bp) >= 1e-2
             got = psi_bouncer(bp, x, t)
             _assert_close(got, ref_psi_bouncer(bp, x, t))
             assert np.all(got[x >= 0.0] == 0.0)
@@ -140,7 +142,7 @@ def test_mirror_difference_tends_to_wall_packet(z):
     a = math.sqrt(z / 2.0)
     bp = BouncerParams(PacketParams(x0=-a, p0=a, alpha=1.0))
     wall = SpecialParams(beta=1.0)
-    assert bp.phase_space_distance == pytest.approx(z, rel=1e-12)
+    assert phase_space_distance(bp) == pytest.approx(z, rel=1e-12)
     worst = 0.0
     for t in (0.0, 0.3, 1.0, 2.5, 6.0):
         xs = np.linspace(-10.0 * wall.beta_t(t), 0.0, 801)

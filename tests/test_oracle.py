@@ -316,14 +316,14 @@ def test_propagate_time_reversible():
 def test_propagate_discrete_ehrenfest_one_interval():
     # m * d<x>/dt over a short propagated interval vs the midpoint <p>
     bp = BouncerParams(PacketParams(x0=-6.0, p0=2.0, alpha=1.0))
-    grid = half_line_grid(bp.base, 1.0, pad=10.0)
+    grid = half_line_grid(bp, 1.0, pad=10.0)
     st = sample(lambda x, t: psi_bouncer(bp, x, t), grid, 0.4)
     dt = 1e-3
     steps = 40
     out = propagate(st, dt, steps, hbar=1.0, mass=1.0)
     x0_, x1_ = moment_x(st, 1), moment_x(out, 1)
     mid = propagate(st, dt, steps // 2, hbar=1.0, mass=1.0)
-    fd = bp.base.mass * (x1_ - x0_) / (dt * steps)
+    fd = bp.mass * (x1_ - x0_) / (dt * steps)
     assert abs(fd - moment_p(mid, 1, hbar=1.0, rtol=1e-4)) < 1e-5
 
 
@@ -331,12 +331,12 @@ def test_propagate_matches_closed_form_through_bounce():
     # short, coarse version of the full convergence study
     bp = BouncerParams(PacketParams(x0=-4.0, p0=2.0, alpha=1.0))
     T = 2.0 * bp.collision_time
-    pad = 8.0 * bp.base.beta_t(T)
-    h = bp.base.beta / 100.0
-    n = int(math.ceil((pad + abs(bp.base.x0)) / h)) | 1
-    grid = GridSpec(bp.base.x0 - pad, n, 0.0)
+    pad = 8.0 * bp.beta_t(T)
+    h = bp.beta / 100.0
+    n = int(math.ceil((pad + abs(bp.x0)) / h)) | 1
+    grid = GridSpec(bp.x0 - pad, n, 0.0)
     st = sample(lambda x, t: psi_bouncer(bp, x, t), grid, 0.0)
-    dt = bp.base.t0 / 1000.0
+    dt = bp.t0 / 1000.0
     out = propagate(st, dt, int(round(T / dt)), hbar=1.0, mass=1.0)
     exact = sample(lambda x, t: psi_bouncer(bp, x, t), grid, out.time)
     assert _l2(out.values, exact.values, grid.h) < 5e-4

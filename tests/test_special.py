@@ -10,6 +10,7 @@ from wallbounce import (
     PacketParams,
     SpecialParams,
     node_packet_moments,
+    phase_space_distance,
     phi_node_packet,
     psi_bouncer,
     psi_node_packet,
@@ -145,7 +146,7 @@ def test_wall_packet_is_zero_distance_limit_of_mirror():
     # distance 1e-6 split evenly between offset and momentum
     eps = math.sqrt(5e-7)
     bp = BouncerParams(PacketParams(x0=-eps, p0=eps, alpha=1.0))
-    assert bp.phase_space_distance == pytest.approx(1e-6, rel=1e-12)
+    assert phase_space_distance(bp) == pytest.approx(1e-6, rel=1e-12)
     xs = np.linspace(-8.0, 0.0, 321)
     worst = 0.0
     for t in (0.0, 0.3, 1.0, 2.5, 6.0):

@@ -19,6 +19,7 @@ from wallbounce import (
     free_moments,
     momentum_second_moment,
     p_mean_at_collision,
+    phase_space_distance,
     position_second_moment,
     psi_bouncer,
     psi_free,
@@ -95,7 +96,7 @@ def test_mirror_closed_forms_vs_oracle():
 def test_near_collision_expansions_with_units():
     params = PacketParams(x0=-9.0 * ALPHA * HBAR, p0=3.0 / ALPHA, alpha=ALPHA, hbar=HBAR, mass=MASS)
     bp = BouncerParams(params)
-    assert bp.phase_space_distance == pytest.approx(90.0, rel=1e-12)
+    assert phase_space_distance(bp) == pytest.approx(90.0, rel=1e-12)
     tc = bp.collision_time
     assert tc / params.t0 == pytest.approx(3.0, rel=1e-12)
     grid = half_line_grid(params, tc + 0.1 * params.t0)
