@@ -1,16 +1,31 @@
 """CLI round trips: file formats, determinism, exit codes."""
 
 import csv
+import importlib.util
 import json
 import math
 import os
 import stat
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wallbounce.cli import main
+
+REFERENCE = Path(__file__).parent / "reference"
+
+
+def _cli_references():
+    """regenerate.py's CLI_REFERENCES: reference file name -> CLI arguments."""
+    spec = importlib.util.spec_from_file_location("regenerate", REFERENCE / "regenerate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CLI_REFERENCES
+
+
+CLI_REFERENCES = _cli_references()
 
 
 def run_cli(tmp_path, *argv):
@@ -127,6 +142,42 @@ def test_identical_config_gives_identical_bytes(tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _split_output(text):
+    """A CSV output's comment lines, and its header and rows as lists of cells."""
+    lines = text.splitlines()
+    return [x for x in lines if x.startswith("#")], list(csv.reader(x for x in lines if not x.startswith("#")))
+
+
+def _number(cell):
+    """The cell's finite float value, or None for text, an empty cell, nan or inf."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+@pytest.mark.parametrize("name", CLI_REFERENCES)
+def test_output_matches_the_reference(tmp_path, name):
+    # comment lines (params, grid, units) and text cells exactly; a number to
+    # 1e-13 of its column's max |value|.  A CSV cell cannot tell an int from
+    # an integral float, and no data column is an int, so every number is a float.
+    want_meta, want = _split_output((REFERENCE / name).read_text())
+    code, out = run_cli(tmp_path, *CLI_REFERENCES[name])
+    assert code == 0
+    got_meta, got = _split_output(out.read_text())
+    assert got_meta == want_meta
+    assert [len(row) for row in got] == [len(row) for row in want] and got[0] == want[0]
+    for j, column in enumerate(zip(*want[1:])):
+        bound = 1e-13 * max((abs(v) for v in map(_number, column) if v is not None), default=0.0)
+        for i, cell in enumerate(column, 1):
+            value, other = _number(cell), _number(got[i][j])
+            if value is None:
+                assert got[i][j] == cell, (name, want[0][j], i)
+            else:
+                assert other is not None and abs(other - value) <= bound, (name, want[0][j], i, other, value)
 
 
 def test_json_schema(tmp_path):

@@ -310,9 +310,15 @@ def test_accuracy_with_avx512_dispatch_off():
         "from numpy._core._multiarray_umath import __cpu_features__ as f; "
         "assert not f.get('X86_V4'); import pytest, sys; sys.exit(pytest.main(sys.argv[1:]))"
     )
-    selected = "reference_formulas or tends_to_wall_packet or large_half_angle or block_boundaries"
+    # the last two pin the CLI outputs and the gates' measured values
+    selected = (
+        "reference_formulas or tends_to_wall_packet or large_half_angle or block_boundaries"
+        " or output_matches_the_reference or measured_values_match_the_reference"
+    )
+    here = os.path.dirname(__file__)
+    files = [__file__, os.path.join(here, "test_cli.py"), os.path.join(here, "test_acceptance.py")]
     proc = subprocess.run(
-        [sys.executable, "-c", check, "-q", "-p", "no:cacheprovider", __file__, "-k", selected],
+        [sys.executable, "-c", check, "-q", "-p", "no:cacheprovider", *files, "-k", selected],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
