@@ -50,13 +50,12 @@ from .oracle import (
     PropagationError,
     StencilConvergenceError,
     TailCaptureError,
-    full_line_grid,
-    half_line_grid,
     moment_p,
     moment_x,
     overlap,
     propagate,
     sample,
+    window_grid,
 )
 
 __version__ = "0.1.0"

@@ -33,12 +33,11 @@ from .oracle import (
     GridSpec,
     StencilConvergenceError,
     TailCaptureError,
-    full_line_grid,
-    half_line_grid,
     moment_p,
     moment_x,
     overlap,
     sample,
+    window_grid,
 )
 from .packets import PacketParams, autocorrelation_free, free_moments, psi_free
 from .special import (
@@ -280,19 +279,18 @@ def _grid(
     t_hi: float | None = None,
     points_per_beta: float | None = None,
 ) -> GridSpec:
-    if t_lo is None:
-        t_lo = cfg.tmin
-    if t_hi is None:
-        t_hi = cfg.tmax
     # validate's --xmin/--nx grid is for its gates on the half line
     half_line = cfg.kind is None or _KINDS[cfg.kind].half_line
     try:
         if cfg.xmin is not None:
             return GridSpec(cfg.xmin, cfg.nx, 0.0 if half_line else -cfg.xmin)
-        if half_line:
-            t_edge = max(abs(t_lo), abs(t_hi))
-            return half_line_grid(cfg.params, t_edge, points_per_beta=points_per_beta)
-        return full_line_grid(cfg.params, t_lo, t_hi, points_per_beta=points_per_beta)
+        return window_grid(
+            cfg.params,
+            cfg.tmin if t_lo is None else t_lo,
+            cfg.tmax if t_hi is None else t_hi,
+            half_line=half_line,
+            points_per_beta=points_per_beta,
+        )
     except ValueError as exc:
         raise CliError(f"invalid grid: {exc}; choose one with --xmin and an odd --nx") from exc
 

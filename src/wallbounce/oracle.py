@@ -2,11 +2,13 @@
 
 This module knows nothing about the closed forms it is used to check.
 States live on a uniform grid (by default the half-line [x_min, 0] with
-the wall as the last point); moments and overlaps are composite-Simpson
-quadratures, momentum moments use finite-difference derivatives with an
-internal convergence estimate, and time evolution is an unconditionally
-stable, exactly norm-preserving Cayley (implicit midpoint) step of the
-free Hamiltonian with hard-wall (Dirichlet) ends.
+the wall as the last point); window_grid sizes one to hold a packet over
+a time window, on the full line or, reflected packet included, on the
+half line.  Moments and overlaps are composite-Simpson quadratures,
+momentum moments use finite-difference derivatives with an internal
+convergence estimate, and time evolution is an unconditionally stable,
+exactly norm-preserving Cayley (implicit midpoint) step of the free
+Hamiltonian with hard-wall (Dirichlet) ends.
 
 A quadrature is formed from strided slice sums of its integrand, with
 the rule's weights applied to the sums, so no weight array is built.
@@ -43,8 +45,7 @@ __all__ = [
     "moment_p",
     "overlap",
     "propagate",
-    "half_line_grid",
-    "full_line_grid",
+    "window_grid",
 ]
 
 #: endpoint amplitude (relative to the max) above which a grid is
@@ -386,37 +387,31 @@ def _resolved_spacing(params: PacketParams, points_per_beta: float | None, mirro
     return min(params.beta / 100.0, 0.0116 / k_max)
 
 
-def half_line_grid(
-    params: PacketParams,
-    t_max: float,
-    *,
-    pad: float = 12.0,
-    points_per_beta: float | None = None,
-) -> GridSpec:
-    """Grid on [x_min, 0] wide and fine enough for mirror states up to t_max.
-
-    x_min = min(x0, 0) - pad*beta_t(t_max) keeps the tail mass below any
-    tolerance used here; the spacing resolves the fastest density
-    oscillation (or beta/points_per_beta when given).
-    """
-    bt = params.beta_t(t_max)
-    x_lo = min(params.x0, 0.0) - pad * bt
-    h = _resolved_spacing(params, points_per_beta, mirrored=True)
-    return GridSpec(x_lo, _odd_at_least((0.0 - x_lo) / h + 1.0), 0.0)
-
-
-def full_line_grid(
+def window_grid(
     params: PacketParams,
     t_min: float,
     t_max: float,
     *,
+    half_line: bool,
     pad: float = 12.0,
     points_per_beta: float | None = None,
 ) -> GridSpec:
-    """Full-line grid covering the packet's trajectory from t_min to t_max."""
+    """Grid covering the packet at every time from t_min to t_max.
+
+    The centre X(t) is linear in t, so the centres at the window's ends
+    bound it, and the width beta_t is largest at the end farthest from
+    t = 0.  The full line spans the centres padded by pad*beta_t on
+    either side.  The half line [x_lo, 0] ends at the wall, and x_lo
+    lies pad*beta_t beyond x0 and beyond -|X(t)| at both ends: past the
+    bounce a mirror state's physical part sits at -|X(t)|.  The spacing
+    resolves the fastest density oscillation (or is beta/points_per_beta
+    when given).
+    """
     bt = params.beta_t(max(abs(t_min), abs(t_max)))
     centers = (params.center(t_min), params.center(t_max))
-    x_lo = min(centers) - pad * bt
-    x_hi = max(centers) + pad * bt
-    h = _resolved_spacing(params, points_per_beta, mirrored=False)
+    if half_line:
+        x_lo, x_hi = min(params.x0, *(-abs(c) for c in centers)) - pad * bt, 0.0
+    else:
+        x_lo, x_hi = min(centers) - pad * bt, max(centers) + pad * bt
+    h = _resolved_spacing(params, points_per_beta, mirrored=half_line)
     return GridSpec(x_lo, _odd_at_least((x_hi - x_lo) / h + 1.0), x_hi)

@@ -30,12 +30,12 @@ from .bouncer import (
 from .oracle import (
     GridSpec,
     GridState,
-    half_line_grid,
     moment_p,
     moment_x,
     overlap,
     propagate,
     sample,
+    window_grid,
 )
 from .packets import PacketParams, free_moments
 from .special import (
@@ -79,7 +79,7 @@ def _check_normalization():
             x0=-math.sqrt(z) * math.cos(theta), p0=math.sqrt(z) * math.sin(theta), alpha=1.0
         )
         n = mirror_normalization(params)
-        grid = half_line_grid(params, 2.0 * params.collision_time, pad=13.0)
+        grid = window_grid(params, 0.0, 2.0 * params.collision_time, half_line=True, pad=13.0)
         xs = grid.points()
         for t, bucket in ((0.0, 0), (2.0 * params.collision_time, 1)):
             raw = GridState(grid, psi_bouncer(params, xs, t) / n, t)
@@ -95,7 +95,7 @@ def _check_normalization():
 
 def _check_even_moments(grid_override):
     t_max = 3.0 * DEMO_PARAMS.collision_time
-    grid = grid_override or half_line_grid(DEMO_PARAMS, t_max)
+    grid = grid_override or window_grid(DEMO_PARAMS, 0.0, t_max, half_line=True)
     worst_x2 = worst_p2 = 0.0
     p2_closed = momentum_second_moment(DEMO_PARAMS)
     p2_vals = []
@@ -128,7 +128,7 @@ def _check_energy_shift_limit():
 
 def _check_collision_position():
     tc = NEAR_PARAMS.collision_time
-    grid = half_line_grid(NEAR_PARAMS, tc + 0.7)
+    grid = window_grid(NEAR_PARAMS, 0.0, tc + 0.7, half_line=True)
     x_num = moment_x(_state(NEAR_PARAMS, grid, tc), 1)
     lead = x_mean_near_collision(NEAR_PARAMS, tc, terms=1)
     rel = abs(lead - x_num) / abs(x_num)
@@ -155,7 +155,7 @@ def _check_collision_momentum():
         params = PacketParams(x0=-3.0 * tc_over_t0, p0=3.0, alpha=1.0)
         tc = params.collision_time
         closed = p_mean_at_collision(params)
-        grid = half_line_grid(params, tc)
+        grid = window_grid(params, 0.0, tc, half_line=True)
         numeric = moment_p(_state(params, grid, tc), 1, hbar=params.hbar, rtol=1e-3)
         worst = max(worst, abs(closed - numeric) / abs(numeric))
         dists.append(abs(closed - asymptote))
@@ -170,7 +170,7 @@ def _check_collision_momentum():
 
 def _check_effective_force():
     tc = NEAR_PARAMS.collision_time
-    grid = half_line_grid(NEAR_PARAMS, tc + 0.2)
+    grid = window_grid(NEAR_PARAMS, 0.0, tc + 0.2, half_line=True)
     d = 0.05 * NEAR_PARAMS.t0
     xs = [moment_x(_state(NEAR_PARAMS, grid, t), 1) for t in (tc - d, tc, tc + d)]
     fd = NEAR_PARAMS.mass * (xs[2] - 2.0 * xs[1] + xs[0]) / d**2
@@ -188,7 +188,7 @@ def _check_effective_force():
 
 def _check_autocorrelation(grid_override):
     t_max = 3.0 * DEMO_PARAMS.collision_time
-    grid = grid_override or half_line_grid(DEMO_PARAMS, t_max)
+    grid = grid_override or window_grid(DEMO_PARAMS, 0.0, t_max, half_line=True)
     ref = _state(DEMO_PARAMS, grid, 0.0)
     ts = np.linspace(0.0, t_max, 25)
     worst = 0.0

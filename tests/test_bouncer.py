@@ -29,11 +29,11 @@ from wallbounce import (
 from wallbounce.oracle import (
     GridSpec,
     GridState,
-    half_line_grid,
     moment_p,
     moment_x,
     overlap,
     sample,
+    window_grid,
 )
 from wallbounce.packets import psi_free
 
@@ -55,7 +55,7 @@ def near_bp():
 
 @pytest.fixture(scope="module")
 def near_grid():
-    return half_line_grid(NEAR, 2.0 * BouncerParams(NEAR).collision_time)
+    return window_grid(NEAR, 0.0, 2.0 * BouncerParams(NEAR).collision_time, half_line=True)
 
 
 def _bouncer_state(bp, grid, t):
@@ -130,7 +130,7 @@ def test_normalization_degenerate_raises():
 def test_normalization_vs_quadrature():
     p = PacketParams(x0=-1.5, p0=1.0, alpha=1.0)  # z0 = 3.25, N clearly > 1
     n = mirror_normalization(p)
-    grid = half_line_grid(p, 0.0, pad=13.0)
+    grid = window_grid(p, 0.0, 0.0, half_line=True, pad=13.0)
     xs = grid.points()
     raw = GridState(grid, psi_free(p, xs, 0.0) - psi_free(p, -xs, 0.0), 0.0)
     assert abs(n * n * moment_x(raw, 0) - 1.0) < 1e-10
@@ -169,7 +169,7 @@ def test_boundary_zero_for_all_times(demo_bp):
 
 
 def test_norm_at_t0_and_after_bounce(demo_bp):
-    grid = half_line_grid(DEMO, 4.0)
+    grid = window_grid(DEMO, 0.0, 4.0, half_line=True)
     for t in (0.0, 4.0):  # t = 0 and t = 2 t_c
         assert abs(moment_x(_bouncer_state(demo_bp, grid, t), 0) - 1.0) < 1e-9
 
@@ -177,12 +177,12 @@ def test_norm_at_t0_and_after_bounce(demo_bp):
 def test_norm_moderate_distance():
     p = PacketParams(x0=-5.0, p0=2.0, alpha=1.0)  # distance 29
     bp = BouncerParams(p)
-    grid = half_line_grid(p, 0.0)
+    grid = window_grid(p, 0.0, 0.0, half_line=True)
     assert abs(moment_x(_bouncer_state(bp, grid, 0.0), 0) - 1.0) < 1e-10
 
 
 def test_norm_conserved_at_sampled_times(demo_bp):
-    grid = half_line_grid(DEMO, 5.0)
+    grid = window_grid(DEMO, 0.0, 5.0, half_line=True)
     for t in (0.5, 1.7, 2.0, 2.3, 3.6, 5.0):
         assert abs(moment_x(_bouncer_state(demo_bp, grid, t), 0) - 1.0) < 1e-8
 
@@ -217,7 +217,7 @@ def test_x2_large_distance_is_free():
 
 
 def test_x2_vs_quadrature_across_bounce(demo_bp):
-    grid = half_line_grid(DEMO, 4.0)
+    grid = window_grid(DEMO, 0.0, 4.0, half_line=True)
     for t in np.linspace(0.0, 4.0, 9):
         closed = position_second_moment(demo_bp, t)
         numeric = moment_x(_bouncer_state(demo_bp, grid, t), 2)
@@ -237,7 +237,7 @@ def test_p2_large_distance_is_free():
 
 
 def test_p2_vs_derivative_quadrature(demo_bp):
-    grid = half_line_grid(DEMO, 2.0)
+    grid = window_grid(DEMO, 0.0, 2.0, half_line=True)
     closed = momentum_second_moment(demo_bp)
     for t in (0.0, 2.0):  # t = 0 and t = t_c
         numeric = moment_p(_bouncer_state(demo_bp, grid, t), 2, hbar=1.0)
@@ -245,7 +245,7 @@ def test_p2_vs_derivative_quadrature(demo_bp):
 
 
 def test_p2_time_invariance_of_oracle(demo_bp):
-    grid = half_line_grid(DEMO, 4.0)
+    grid = window_grid(DEMO, 0.0, 4.0, half_line=True)
     values = [
         moment_p(_bouncer_state(demo_bp, grid, t), 2, hbar=1.0) for t in (0.0, 1.0, 2.0, 4.0)
     ]
@@ -395,7 +395,7 @@ def test_autocorrelation_bouncer_vs_overlap_small_distance():
     # small distance makes the mirror factor matter; oracle pins the branch
     p = PacketParams(x0=-1.0, p0=1.0, alpha=1.0)
     bp = BouncerParams(p)
-    grid = half_line_grid(p, 4.0, pad=14.0)
+    grid = window_grid(p, 0.0, 4.0, half_line=True, pad=14.0)
     ref = _bouncer_state(bp, grid, 0.0)
     for t in (0.3, 1.0, 2.0, 4.0):
         num = overlap(ref, _bouncer_state(bp, grid, t))
@@ -412,7 +412,7 @@ def test_autocorrelation_bouncer_monotone_modulus(demo_bp):
 
 
 def test_oracle_ehrenfest_across_bounce(demo_bp):
-    grid = half_line_grid(DEMO, 4.0)
+    grid = window_grid(DEMO, 0.0, 4.0, half_line=True)
     d = 0.002 * DEMO.t0
 
     def xbar(t):
@@ -425,7 +425,7 @@ def test_oracle_ehrenfest_across_bounce(demo_bp):
 
 
 def test_oracle_far_from_wall_is_classical(demo_bp):
-    grid = half_line_grid(DEMO, 0.5)
+    grid = window_grid(DEMO, 0.0, 0.5, half_line=True)
     for t in (0.0, 0.4):
         assert abs(DEMO.center(t)) > 6.0 * DEMO.beta_t(t)
         numeric = moment_x(_bouncer_state(demo_bp, grid, t), 1)

@@ -135,6 +135,37 @@ def test_autocorr_window_away_from_zero(tmp_path):
         assert abs(closed - numeric) < 1e-6
 
 
+#: a bouncer that is far past the wall long before t_max = 19 (t_c = 1.6)
+REFLECTED = ["--kind", "bouncer", "--x0", "-8", "--p0", "5", "--alpha", "1.4", "--tmax", "19"]
+
+
+@pytest.mark.parametrize("argv,away,p_mean", [
+    # the reflected packet, at -|X(t)| beyond x0
+    (["moments", *REFLECTED], lambda t: t >= 4 * 1.6, -5.0),
+    # the incoming packet at negative times, beyond x0 on the other side
+    (["moments", "--tmin", "-5", "--tmax", "3"], lambda t: t <= 0.0, 5.0),
+], ids=["reflected", "negative-times"])
+def test_automatic_grid_follows_the_packet(tmp_path, argv, away, p_mean):
+    # away from the wall <x> is the classical -|X(t)| and <p> is +-p0, to round-off
+    code, out = run_cli(tmp_path, *argv)
+    assert code == 0
+    rows = [r for r in read_csv(out)[1] if away(float(r["t"]))]
+    assert len(rows) >= 10
+    for r in rows:
+        x = float(r["x_mean_classical"])
+        assert abs(float(r["x_mean_numeric"]) - x) <= 1e-12 * abs(x), r
+        assert abs(float(r["p_mean_numeric"]) - p_mean) <= 1e-10 * abs(p_mean), r
+
+
+def test_autocorr_of_the_reflected_packet(tmp_path):
+    code, out = run_cli(tmp_path, "autocorr", *REFLECTED, "--nt", "5")
+    assert code == 0
+    for r in read_csv(out)[1]:
+        closed = complex(float(r["re_exact"]), float(r["im_exact"]))
+        numeric = complex(float(r["re_numeric"]), float(r["im_numeric"]))
+        assert abs(closed - numeric) < 1e-10
+
+
 def test_identical_config_gives_identical_bytes(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -340,9 +371,8 @@ def test_validate_coarse_grid_surfaces_tail_error(tmp_path):
 
 FAILING_RUNS = [
     (["density", "--tmax", "1e4"], 2),  # grid over budget
-    # the reflected packet leaves the automatic grid: a numerical failure
-    (["moments", "--kind", "bouncer", "--x0", "-8", "--p0", "5", "--alpha", "1.4", "--tmax", "19"],
-     1),
+    # the user's grid cuts the packet: a numerical failure
+    (["moments", "--kind", "bouncer", "--xmin", "-20", "--nx", "4001"], 1),
     # the grid cuts the packet: the overlap refuses it
     (["autocorr", "--kind", "free", "--xmin", "-3", "--nx", "101", "--nt", "3"], 1),
 ]

@@ -19,13 +19,12 @@ from wallbounce.oracle import (
     PropagationError,
     StencilConvergenceError,
     TailCaptureError,
-    full_line_grid,
-    half_line_grid,
     moment_p,
     moment_x,
     overlap,
     propagate,
     sample,
+    window_grid,
 )
 
 
@@ -65,6 +64,78 @@ def test_grid_refinement_halves_spacing():
     assert r.h == pytest.approx(g.h / 2.0, rel=1e-15)
 
 
+def _parent_spacing(params, points_per_beta, mirrored):
+    # the grid rules before window_grid, frozen as the reference for it
+    if points_per_beta is not None:
+        return params.beta / points_per_beta
+    dp = 1.0 / (params.alpha * math.sqrt(2.0))
+    carrier = (2.0 if mirrored else 1.0) * abs(params.p0)
+    k_max = (carrier + 8.0 * dp) / params.hbar + 4.0 / params.beta
+    return min(params.beta / 100.0, 0.0116 / k_max)
+
+
+def _parent_odd_at_least(n):
+    m = max(int(math.ceil(n)), 3)
+    return m if m % 2 == 1 else m + 1
+
+
+def _parent_half_line_grid(params, t_max, *, pad=12.0, points_per_beta=None):
+    bt = params.beta_t(t_max)
+    x_lo = min(params.x0, 0.0) - pad * bt
+    h = _parent_spacing(params, points_per_beta, mirrored=True)
+    return GridSpec(x_lo, _parent_odd_at_least((0.0 - x_lo) / h + 1.0), 0.0)
+
+
+def _parent_full_line_grid(params, t_min, t_max, *, pad=12.0, points_per_beta=None):
+    bt = params.beta_t(max(abs(t_min), abs(t_max)))
+    centers = (params.center(t_min), params.center(t_max))
+    x_lo = min(centers) - pad * bt
+    x_hi = max(centers) + pad * bt
+    h = _parent_spacing(params, points_per_beta, mirrored=False)
+    return GridSpec(x_lo, _parent_odd_at_least((x_hi - x_lo) / h + 1.0), x_hi)
+
+
+def _bits(grid):
+    return grid.x_min.hex(), grid.n_points, grid.x_max.hex()
+
+
+def test_window_grid_covers_each_centre_and_keeps_the_parent_grids():
+    rng = np.random.default_rng(1212)
+    unchanged_half_line = 0
+    for _ in range(400):
+        half_line = bool(rng.integers(2))
+        params = PacketParams(
+            x0=rng.uniform(-30.0, 0.0 if half_line else 30.0),
+            p0=rng.uniform(-6.0, 6.0),
+            alpha=10.0 ** rng.uniform(-0.3, 0.3),
+            hbar=10.0 ** rng.uniform(-0.3, 0.3),
+            mass=10.0 ** rng.uniform(-0.3, 0.3),
+        )
+        # windows before, across and after t = 0, some of a single time
+        t_min, t_max = sorted(rng.uniform(-8.0, 8.0, 2))
+        if rng.random() < 0.2:
+            t_min = t_max
+        pad = float(rng.choice([10.0, 12.0, 13.0]))
+        ppb = None if rng.random() < 0.5 else 64.0
+        grid = window_grid(params, t_min, t_max, half_line=half_line, pad=pad, points_per_beta=ppb)
+        margin = pad * params.beta_t(max(abs(t_min), abs(t_max)))
+        ends = (params.center(t_min), params.center(t_max))
+        if half_line:
+            # a mirror state's physical part sits at -|X(t)|
+            assert grid.x_max == 0.0
+            assert all(grid.x_min <= c - margin for c in (params.x0, -abs(ends[0]), -abs(ends[1])))
+            if all(abs(c) <= abs(params.x0) for c in ends):
+                t_edge = max(abs(t_min), abs(t_max))
+                reference = _parent_half_line_grid(params, t_edge, pad=pad, points_per_beta=ppb)
+                assert _bits(grid) == _bits(reference)
+                unchanged_half_line += 1
+        else:
+            assert all(grid.x_min <= c - margin and c + margin <= grid.x_max for c in ends)
+            reference = _parent_full_line_grid(params, t_min, t_max, pad=pad, points_per_beta=ppb)
+            assert _bits(grid) == _bits(reference)
+    assert unchanged_half_line >= 20
+
+
 def test_sample_wall_point_exact_zero():
     bp = BouncerParams(DEMO)
     st = sample(lambda x, t: psi_bouncer(bp, x, t), GridSpec(-40.0, 801, 0.0), 1.0)
@@ -72,7 +143,7 @@ def test_sample_wall_point_exact_zero():
 
 
 def test_sample_free_norm_self_check():
-    grid = full_line_grid(PP, 0.0, 0.0)
+    grid = window_grid(PP, 0.0, 0.0, half_line=False)
     st = sample(lambda x, t: psi_free(PP, x, t), grid, 0.0)
     assert abs(moment_x(st, 0) - 1.0) < 1e-9
 
@@ -124,7 +195,7 @@ def test_simpson_fourth_order_richardson():
 
 
 def test_trapezoid_cross_check_rule():
-    grid = full_line_grid(PP, 0.0, 0.0)
+    grid = window_grid(PP, 0.0, 0.0, half_line=False)
     st = sample(lambda x, t: psi_free(PP, x, t), grid, 0.0)
     simpson = moment_x(st, 2, rule="simpson")
     trapezoid = moment_x(st, 2, rule="trapezoid")
@@ -164,7 +235,7 @@ def test_tail_capture_error_suggests_wider_grid():
 
 
 def test_moment_p_plane_wave_gaussian():
-    grid = full_line_grid(PP, 0.0, 0.0)
+    grid = window_grid(PP, 0.0, 0.0, half_line=False)
     st = sample(lambda x, t: psi_free(PP, x, t), grid, 0.0)
     assert abs(moment_p(st, 1, hbar=1.0) - PP.p0) < 1e-8
 
@@ -186,7 +257,7 @@ def test_moment_p_unresolved_grid_raises():
 
 def test_moment_p_custom_hbar():
     p = PacketParams(x0=-5.0, p0=2.0, alpha=1.0, hbar=2.0)
-    grid = full_line_grid(p, 0.0, 0.0)
+    grid = window_grid(p, 0.0, 0.0, half_line=False)
     st = sample(lambda x, t: psi_free(p, x, t), grid, 0.0)
     assert abs(moment_p(st, 1, hbar=2.0) - p.p0) < 1e-8
 
@@ -194,7 +265,7 @@ def test_moment_p_custom_hbar():
 def test_units_cannot_be_left_out():
     # with a default hbar = 1 this state (p0 = 4, hbar = 2) read <p> = 2
     p = PacketParams(x0=-5.0, p0=4.0, alpha=1.0, hbar=2.0)
-    st = sample(lambda x, t: psi_free(p, x, t), full_line_grid(p, 0.0, 0.0), 0.0)
+    st = sample(lambda x, t: psi_free(p, x, t), window_grid(p, 0.0, 0.0, half_line=False), 0.0)
     with pytest.raises(TypeError):
         moment_p(st, 1)
     with pytest.raises(TypeError):
@@ -207,13 +278,13 @@ def test_units_cannot_be_left_out():
 
 
 def test_overlap_self_is_norm():
-    grid = full_line_grid(PP, 0.0, 0.0)
+    grid = window_grid(PP, 0.0, 0.0, half_line=False)
     st = sample(lambda x, t: psi_free(PP, x, t), grid, 0.0)
     assert overlap(st, st) == pytest.approx(moment_x(st, 0), rel=1e-14)
 
 
 def test_overlap_conjugate_symmetry():
-    grid = full_line_grid(PP, 0.0, 1.0)
+    grid = window_grid(PP, 0.0, 1.0, half_line=False)
     a = sample(lambda x, t: psi_free(PP, x, t), grid, 0.0)
     b = sample(lambda x, t: psi_free(PP, x, t), grid, 1.0)
     assert abs(overlap(a, b) - overlap(b, a).conjugate()) < 1e-14
@@ -230,7 +301,7 @@ def test_overlap_refuses_state_cut_at_x_min():
 
 
 def test_overlap_grid_mismatch():
-    a = sample(lambda x, t: psi_free(PP, x, t), full_line_grid(PP, 0.0, 0.0), 0.0)
+    a = sample(lambda x, t: psi_free(PP, x, t), window_grid(PP, 0.0, 0.0, half_line=False), 0.0)
     b = sample(lambda x, t: psi_free(PP, x, t), GridSpec(-30.0, 3001, 10.0), 0.0)
     with pytest.raises(GridMismatchError):
         overlap(a, b)
@@ -316,7 +387,7 @@ def test_propagate_time_reversible():
 def test_propagate_discrete_ehrenfest_one_interval():
     # m * d<x>/dt over a short propagated interval vs the midpoint <p>
     bp = BouncerParams(PacketParams(x0=-6.0, p0=2.0, alpha=1.0))
-    grid = half_line_grid(bp, 1.0, pad=10.0)
+    grid = window_grid(bp, 0.0, 1.0, half_line=True, pad=10.0)
     st = sample(lambda x, t: psi_bouncer(bp, x, t), grid, 0.4)
     dt = 1e-3
     steps = 40

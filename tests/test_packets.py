@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wallbounce import PacketParams, autocorrelation_free, free_moments, phi_free, psi_free
-from wallbounce.oracle import GridSpec, full_line_grid, moment_x, moment_p, overlap, sample
+from wallbounce.oracle import GridSpec, moment_x, moment_p, overlap, sample, window_grid
 
 
 PP = PacketParams(x0=-5.0, p0=2.0, alpha=1.0)
@@ -51,7 +51,7 @@ def test_psi_free_natural_units_origin():
 def test_psi_free_norm_trapezoid_quadrature():
     # trapezoid is the cross-check rule; tails make it spectrally accurate here
     t = 3.0 * PP.t0
-    grid = full_line_grid(PP, 0.0, t)
+    grid = window_grid(PP, 0.0, t, half_line=False)
     state = sample(lambda x, tt: psi_free(PP, x, tt), grid, t)
     assert abs(moment_x(state, 0, rule="trapezoid") - 1.0) < 1e-10
 
@@ -108,7 +108,7 @@ def test_free_uncertainty_product():
 
 def test_free_moments_vs_quadrature():
     t = 1.7
-    grid = full_line_grid(PP, 0.0, t)
+    grid = window_grid(PP, 0.0, t, half_line=False)
     state = sample(lambda x, tt: psi_free(PP, x, tt), grid, t)
     m = free_moments(PP, t)
     assert abs(moment_x(state, 2) - m.x2_mean) < 1e-9
@@ -118,7 +118,7 @@ def test_free_moments_vs_quadrature():
 
 
 def test_normalization_preserved_over_time():
-    grid = full_line_grid(PP, 0.0, 4.0)
+    grid = window_grid(PP, 0.0, 4.0, half_line=False)
     for t in (0.0, 0.5, 1.5, 4.0):
         state = sample(lambda x, tt: psi_free(PP, x, tt), grid, t)
         assert abs(moment_x(state, 0) - 1.0) < 1e-9
@@ -188,7 +188,7 @@ def test_autocorrelation_modulus_closed_form():
 
 
 def test_autocorrelation_vs_overlap_oracle():
-    grid = full_line_grid(PP, 0.0, 2.5)
+    grid = window_grid(PP, 0.0, 2.5, half_line=False)
     ref = sample(lambda x, tt: psi_free(PP, x, tt), grid, 0.0)
     for t in (0.5, 1.0, 2.5):
         evolved = sample(lambda x, tt: psi_free(PP, x, tt), grid, t)

@@ -30,13 +30,12 @@ from wallbounce import (
 )
 from wallbounce.oracle import (
     GridSpec,
-    full_line_grid,
-    half_line_grid,
     moment_p,
     moment_x,
     overlap,
     propagate,
     sample,
+    window_grid,
 )
 from wallbounce.packets import phi_free
 
@@ -51,7 +50,7 @@ def test_derived_scales_carry_units():
 
 def test_free_closed_forms_vs_oracle():
     t = 1.4 * PP.t0
-    grid = full_line_grid(PP, 0.0, t)
+    grid = window_grid(PP, 0.0, t, half_line=False)
     state = sample(lambda x, tt: psi_free(PP, x, tt), grid, t)
     m = free_moments(PP, t)
     assert abs(moment_x(state, 0) - 1.0) < 1e-10
@@ -79,7 +78,7 @@ def test_mirror_closed_forms_vs_oracle():
     bp = BouncerParams(PP)
     tc = bp.collision_time
     assert tc == pytest.approx(-MASS * PP.x0 / PP.p0)
-    grid = half_line_grid(PP, 2.0 * tc)
+    grid = window_grid(PP, 0.0, 2.0 * tc, half_line=True)
     ref = sample(lambda x, tt: psi_bouncer(bp, x, tt), grid, 0.0)
     for t in (0.0, tc, 2.0 * tc):
         st = sample(lambda x, tt: psi_bouncer(bp, x, tt), grid, t)
@@ -99,7 +98,7 @@ def test_near_collision_expansions_with_units():
     assert phase_space_distance(bp) == pytest.approx(90.0, rel=1e-12)
     tc = bp.collision_time
     assert tc / params.t0 == pytest.approx(3.0, rel=1e-12)
-    grid = half_line_grid(params, tc + 0.1 * params.t0)
+    grid = window_grid(params, 0.0, tc + 0.1 * params.t0, half_line=True)
     st = sample(lambda x, tt: psi_bouncer(bp, x, tt), grid, tc)
     x_num = moment_x(st, 1)
     assert abs(x_mean_near_collision(bp, tc, terms=1) - x_num) / abs(x_num) < 0.05
