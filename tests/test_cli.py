@@ -178,7 +178,8 @@ def test_identical_config_gives_identical_bytes(tmp_path):
 def _split_output(text):
     """A CSV output's comment lines, and its header and rows as lists of cells."""
     lines = text.splitlines()
-    return [x for x in lines if x.startswith("#")], list(csv.reader(x for x in lines if not x.startswith("#")))
+    meta = [line for line in lines if line.startswith("#")]
+    return meta, list(csv.reader(line for line in lines if not line.startswith("#")))
 
 
 def _number(cell):
