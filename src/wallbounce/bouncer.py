@@ -32,7 +32,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .packets import _BLOCK, _SQRT_PI, PacketParams, _blocks, autocorrelation_free, psi_free
+from .packets import _SQRT_PI, PacketParams, _blocks, autocorrelation_free, psi_free
 
 __all__ = [
     "ApproximationWindowWarning",
@@ -149,11 +149,9 @@ def psi_bouncer(params: PacketParams, x, t: float):
     re_q = -2.0 * s * k.real
     half_im_q = -s * k.imag
     scale = -s * mirror_normalization(params)
-    work = np.empty((7, min(x.size, _BLOCK)))
-    factor = work[5:].reshape(-1).view(complex)  # the last two rows
-    for xb, ob in _blocks(x, out):
-        xm, em, h, w, d = work[:5, : xb.size]
-        f = factor[: xb.size]
+    for rows, xb, ob in _blocks(7, x, out):
+        xm, em, h, w, d = rows[:5]
+        f = rows[5:].reshape(-1).view(complex)  # the last two rows, packed
         np.minimum(xb, 0.0, out=xm)
         np.multiply(xm, re_q, out=em)
         np.multiply(xm, half_im_q, out=h)

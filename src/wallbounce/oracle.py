@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .packets import _BLOCK, PacketParams
+from .packets import PacketParams, _blocks
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -133,12 +133,10 @@ class GridState:
 
 def sample(wavefn, grid: GridSpec, t: float) -> GridState:
     """Evaluate wavefn(x, t) pointwise on the grid."""
-    values = np.asarray(wavefn(grid.points(), t), dtype=np.complex128)
-    if values.shape != (grid.n_points,):
-        raise ValueError(f"wavefn returned shape {values.shape}, expected ({grid.n_points},)")
-    if not np.all(np.isfinite(values)):
+    state = GridState(grid, wavefn(grid.points(), t), t)
+    if not np.all(np.isfinite(state.values)):
         raise ValueError("wavefn produced non-finite values on the grid")
-    return GridState(grid, values, t)
+    return state
 
 
 def _weighted_sum(f: np.ndarray, h: float, rule: str = "simpson"):
@@ -154,23 +152,11 @@ def _weighted_sum(f: np.ndarray, h: float, rule: str = "simpson"):
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
-def _abs2_blocks(v: np.ndarray, out: np.ndarray | None = None):
-    """|v|^2 as re^2 + im^2, _BLOCK points at a time with im^2 in a block-sized
-    row; yields out's blocks, or blocks of a second row when out is None."""
-    rows = np.empty((2, min(v.size, _BLOCK)))
-    for i in range(0, v.size, _BLOCK):
-        vb = v[i : i + _BLOCK]
-        im2, ob = rows[:, : vb.size]
-        ob = ob if out is None else out[i : i + _BLOCK]
+def _abs2(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|v|^2 into out as re^2 + im^2, with im^2 in a block-sized row."""
+    for (im2,), vb, ob in _blocks(1, v, out):
         np.square(vb.real, out=ob)
         ob += np.square(vb.imag, out=im2)
-        yield ob
-
-
-def _abs2(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|v|^2 into out, with no temporary larger than a block."""
-    for _ in _abs2_blocks(v, out):
-        pass
     return out
 
 
@@ -181,8 +167,8 @@ def _conj_times(v: np.ndarray, d: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_tails(state: GridState, abs2: np.ndarray | None = None) -> float:
-    """Raise TailCaptureError unless the state is negligible at both ends; return max|psi|.
+def _check_tails(state: GridState, abs2: np.ndarray | None = None) -> None:
+    """Raise TailCaptureError unless the state is negligible at both ends.
 
     The ends' re^2 + im^2 are compared with TAIL_RTOL**2 * max|psi|^2, the
     maximum taken from abs2 (|psi|^2 on the grid) when the caller has it,
@@ -191,8 +177,15 @@ def _check_tails(state: GridState, abs2: np.ndarray | None = None) -> float:
     forms the message.
     """
     v = state.values
-    # the maximum is taken a block at a time (nan if any value is)
-    peak2 = float(np.max([b.max() for b in _abs2_blocks(v)] if abs2 is None else abs2))
+    if abs2 is None:
+        # re^2 + im^2 a block at a time; initial= keeps a nan in the maximum
+        peak2 = 0.0
+        for (re2, im2), vb in _blocks(2, v):
+            np.square(vb.real, out=re2)
+            re2 += np.square(vb.imag, out=im2)
+            peak2 = re2.max(initial=peak2)
+    else:
+        peak2 = abs2.max()
     if 1e-200 < peak2 < math.inf:
         peak = math.sqrt(peak2)
         sizes = [z.real * z.real + z.imag * z.imag for z in (v[0], v[-1])]
@@ -203,7 +196,7 @@ def _check_tails(state: GridState, abs2: np.ndarray | None = None) -> float:
         sizes = [abs(v[0]), abs(v[-1])]
         limit = TAIL_RTOL * peak
     if peak == 0.0:
-        return peak
+        return
     # both ends: on a half-line grid x_max is the wall, where a mirror state
     # is exactly zero, so a state that is not zero there is not one
     grid = state.grid
@@ -217,7 +210,6 @@ def _check_tails(state: GridState, abs2: np.ndarray | None = None) -> float:
                 f"{TAIL_RTOL:g} * max|psi| = {TAIL_RTOL * amax:.3e}; widen the grid "
                 f"(e.g. {label} {'<=' if end == 0 else '>='} {wider:.6g})"
             )
-    return peak
 
 
 def moment_x(state: GridState, order: int, rule: str = "simpson") -> float:
@@ -261,8 +253,7 @@ def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -
         raise ValueError(f"order must be 1 or 2, got {order!r}")
     if state.grid.n_points < 5:
         raise ValueError("momentum moments need at least 5 grid points")
-    if _check_tails(state) == 0.0:
-        return 0.0
+    _check_tails(state)
     v = state.values
     h = state.grid.h
     # d = 2h * psi' to 2nd order, with 2nd-order one-sided ends
@@ -313,8 +304,7 @@ def overlap(a: GridState, b: GridState) -> complex:
         raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
     _check_tails(a)
     _check_tails(b)
-    product = np.conj(a.values)
-    product *= b.values
+    product = _conj_times(a.values, b.values, np.empty_like(a.values))
     return complex(_weighted_sum(product, a.grid.h))
 
 

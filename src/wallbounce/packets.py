@@ -133,12 +133,16 @@ class Moments:
         return self.x_sd * self.p_sd
 
 
-def _blocks(x: np.ndarray, out: np.ndarray):
-    """Matching flat views of x and out (the same shape, out contiguous),
-    _BLOCK points at a time."""
-    xf, of = x.reshape(-1), out.reshape(-1)
-    for start in range(0, xf.size, _BLOCK):
-        yield xf[start : start + _BLOCK], of[start : start + _BLOCK]
+def _blocks(rows: int, *arrays: np.ndarray):
+    """The block engine of every array kernel: per block of _BLOCK points, a
+    (rows, n) float scratch view, allocated once per call and packed so its
+    rows are contiguous, and the matching flat views of arrays (one size)."""
+    flat = [a.reshape(-1) for a in arrays]
+    size = flat[0].size
+    scratch = np.empty(rows * min(size, _BLOCK))
+    for start in range(0, size, _BLOCK):
+        views = [f[start : start + _BLOCK] for f in flat]
+        yield (scratch[: rows * views[0].size].reshape(rows, -1), *views)
 
 
 def _gaussian(params: PacketParams, x, t: float, order: int) -> np.ndarray:
@@ -159,9 +163,7 @@ def _gaussian(params: PacketParams, x, t: float, order: int) -> np.ndarray:
         # node factor i*sqrt(2)*u/(beta*(1 + i*tau)) = sqrt(2)*u/beta_t * exp(i*(pi/2 - atan(tau)))
         c += 0.5 * math.log(2.0 / bt2)
         qc += 0.25 * math.pi - 0.5 * math.atan(tau)
-    work = np.empty((3, min(x.size, _BLOCK)))
-    for xb, ob in _blocks(x, out):
-        u, mod, h = work[:, : xb.size]
+    for (u, mod, h), xb, ob in _blocks(3, x, out):
         np.subtract(xb, big_x, out=u)
         np.multiply(u, qa, out=h)
         h += qb
