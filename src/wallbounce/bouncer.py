@@ -86,7 +86,7 @@ def mirror_normalization(params: PacketParams) -> float:
     z = phase_space_distance(params)
     if z == 0.0:
         raise DegenerateMirrorError(
-            "degenerate mirror solution (x0 = p0 = 0); "
+            "degenerate mirror solution (phase-space distance z = 0); "
             "use the wall packet from wallbounce.special instead"
         )
     # expm1 keeps 1 - exp(-z) accurate for tiny z

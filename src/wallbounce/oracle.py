@@ -11,7 +11,8 @@ exactly norm-preserving Cayley (implicit midpoint) step of the free
 Hamiltonian with hard-wall (Dirichlet) ends.
 
 A quadrature is formed from strided slice sums of its integrand, with
-the rule's weights applied to the sums, so no weight array is built.
+the rule's weights applied to the sums, so no weight array is built;
+|psi|^2 is re^2 + im^2, formed in the blocks of packets._blocks.
 Every sum is numpy's pairwise .sum(), never dot/vdot/einsum/matmul: a
 BLAS reduction rounds differently with the number of threads, which
 would make output bytes depend on the host's core count.
@@ -174,7 +175,7 @@ def _check_tails(state: GridState, abs2: np.ndarray | None = None) -> None:
     maximum taken from abs2 (|psi|^2 on the grid) when the caller has it,
     so no hypot pass is made; where the squares overflow or come near
     underflow, moduli are compared instead.  np.abs otherwise only
-    forms the message.
+    forms the message.  A zero state passes: its ends are not above 0.
     """
     v = state.values
     if abs2 is None:
@@ -187,16 +188,12 @@ def _check_tails(state: GridState, abs2: np.ndarray | None = None) -> None:
     else:
         peak2 = abs2.max()
     if 1e-200 < peak2 < math.inf:
-        peak = math.sqrt(peak2)
         sizes = [z.real * z.real + z.imag * z.imag for z in (v[0], v[-1])]
         limit = TAIL_RTOL**2 * peak2
     else:
         # the squares overflow or come near underflow: compare moduli
-        peak = float(np.max(np.abs(v)))
         sizes = [abs(v[0]), abs(v[-1])]
-        limit = TAIL_RTOL * peak
-    if peak == 0.0:
-        return
+        limit = TAIL_RTOL * float(np.max(np.abs(v)))
     # both ends: on a half-line grid x_max is the wall, where a mirror state
     # is exactly zero, so a state that is not zero there is not one
     grid = state.grid
@@ -403,5 +400,7 @@ def window_grid(
         x_lo, x_hi = min(params.x0, *(-abs(c) for c in centers)) - pad * bt, 0.0
     else:
         x_lo, x_hi = min(centers) - pad * bt, max(centers) + pad * bt
-    h = _resolved_spacing(params, points_per_beta, mirrored=half_line)
-    return GridSpec(x_lo, _odd_at_least((x_hi - x_lo) / h + 1.0), x_hi)
+    n = (x_hi - x_lo) / _resolved_spacing(params, points_per_beta, mirrored=half_line) + 1.0
+    if not n <= MAX_GRID_POINTS:  # checked before int(), which raises on inf and nan
+        raise ValueError(f"the window needs {n:.3g} points, more than the budget of {MAX_GRID_POINTS}")
+    return GridSpec(x_lo, _odd_at_least(n), x_hi)

@@ -16,10 +16,11 @@ real arithmetic: its modulus is one real exp and its phase comes from the
 half-angle tangent h = tan(theta/2) as ((1 - h**2) + 2i*h)/(1 + h**2).
 numpy vectorizes the real tan and exp; its complex exp, and its sin and
 cos at large arguments, run point by point in libm at 10 to 40 times the
-cost.  Points go through in blocks of _BLOCK, whose temporaries stay in
-cache.  The same kernel (_gaussian) with other constants gives the node
-and wall packets of :mod:`wallbounce.special`; the bouncer applies its
-mirror factor in place in psi_free's blocks (_blocks).
+cost.  The same kernel (_gaussian) with other constants gives the node
+and wall packets of :mod:`wallbounce.special`.  Every array kernel, the
+bouncer's mirror factor and the oracle's |psi|^2 included, runs through
+_blocks: _BLOCK points at a time, in scratch rows that stay in cache and
+are allocated once per call.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class PacketParams:
     -----
     Derived scales: ``beta = alpha*hbar`` is the position-space width,
     ``t0 = mass*hbar*alpha**2`` the spreading time, and
-    ``beta_t(t) = beta*sqrt(1 + (t/t0)**2)`` the width at time t.
+    ``beta_t(t) = beta*sqrt(1 + (t/t0)**2)`` the width at time t.  beta**2
+    and t0 must be finite normal floats, or construction raises ValueError.
     """
 
     x0: float
@@ -79,6 +81,10 @@ class PacketParams:
         for name in ("alpha", "hbar", "mass"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        beta, a2 = self.alpha * self.hbar, self.alpha * self.alpha  # no **: it raises OverflowError
+        for name, value in (("beta**2", beta * beta), ("t0", self.mass * self.hbar * a2)):
+            if not np.finfo(float).tiny <= value < math.inf:  # every other scale derives from these
+                raise ValueError(f"{name} = {value!r} is not a finite normal float; rescale alpha, hbar or mass")
 
     @property
     def beta(self) -> float:
@@ -90,7 +96,10 @@ class PacketParams:
 
     def beta_t(self, t: float) -> float:
         """Width scale at time t; beta_t(0) = beta, growing like |t|/t0."""
-        return self.beta * math.sqrt(1.0 + (t / self.t0) ** 2)
+        try:
+            return self.beta * math.sqrt(1.0 + (t / self.t0) ** 2)
+        except OverflowError:  # (t/t0)**2 overflows, so 1 is negligible beside it
+            return self.beta * abs(t / self.t0)
 
     def center(self, t: float) -> float:
         """Classical free-flight center X(t) = x0 + p0*t/mass."""

@@ -269,6 +269,13 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
         ["moments", "--config", str(bad_value)],
         ["moments", "--config", str(bad_key)],
         ["moments", "--kind", "free", "--nt", "1000000000"],  # refused before allocating
+        # scales whose beta**2 or t0 is not a normal float, or whose grid overflows
+        ["density", "--kind", "wall", "--alpha", "1e-160", "--nt", "1"],
+        ["moments", "--alpha", "1e-200"],
+        ["moments", "--alpha", "1e200"],
+        ["autocorr", "--kind", "free", "--alpha", "1e-170"],
+        ["moments", "--kind", "free", "--p0", "1e300"],
+        ["autocorr", "--kind", "bouncer", "--p0", "1e-300"],
     ]:
         assert run_cli(tmp_path, *argv)[0] == 2, argv
         err = capsys.readouterr().err

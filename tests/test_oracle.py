@@ -26,6 +26,7 @@ from wallbounce.oracle import (
     sample,
     window_grid,
 )
+from wallbounce.packets import _BLOCK
 
 
 PP = PacketParams(x0=-5.0, p0=2.0, alpha=1.0)
@@ -517,7 +518,8 @@ def ref_overlap(a, b):
     return complex(np.sum(w * np.conj(a.values) * b.values))
 
 
-KERNEL_SIZES = [3, 5, 7, 9, 101, 40001]
+#: 2 * _BLOCK + 1 ends in a block of one point
+KERNEL_SIZES = [3, 5, 7, 9, 101, 40001, 2 * _BLOCK + 1]
 
 #: envelopes on u = (x - x_min)/(x_max - x_min): zero at both ends, or
 #: open at one end so that the tail check must refuse the state

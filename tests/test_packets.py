@@ -18,6 +18,15 @@ def test_params_reject_nonpositive_scales():
         kwargs.update(bad)
         with pytest.raises(ValueError):
             PacketParams(**kwargs)
+    # beta**2 is subnormal or overflows; t0 is subnormal or overflows
+    for bad in (
+        dict(alpha=1e-160),
+        dict(alpha=1e200),
+        dict(alpha=1e-100, mass=1e-120),
+        dict(alpha=1e100, hbar=1e-100, mass=1e300),
+    ):
+        with pytest.raises(ValueError, match="normal float"):
+            PacketParams(x0=0.0, p0=0.0, **bad)
 
 
 def test_params_reject_nonfinite():
