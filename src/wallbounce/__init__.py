@@ -47,7 +47,6 @@ from .oracle import (
     GridMismatchError,
     GridSpec,
     GridState,
-    PropagationError,
     StencilConvergenceError,
     TailCaptureError,
     moment_p,

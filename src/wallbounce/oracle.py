@@ -2,13 +2,13 @@
 
 This module knows nothing about the closed forms it is used to check.
 States live on a uniform grid (by default the half-line [x_min, 0] with
-the wall as the last point); window_grid sizes one to hold a packet over
-a time window, on the full line or, reflected packet included, on the
-half line.  Moments and overlaps are composite-Simpson quadratures,
-momentum moments use finite-difference derivatives with an internal
-convergence estimate, and time evolution is an unconditionally stable,
-exactly norm-preserving Cayley (implicit midpoint) step of the free
-Hamiltonian with hard-wall (Dirichlet) ends.
+the wall as the last point) and are finite by construction (GridState);
+window_grid sizes a grid to hold a packet over a time window, on the
+full line or, reflected packet included, on the half line.  Moments and
+overlaps are composite-Simpson quadratures, momentum moments use
+finite-difference derivatives with an internal convergence estimate,
+and time evolution is an unconditionally stable, exactly norm-preserving
+Cayley (implicit midpoint) step of the free Hamiltonian with hard walls.
 
 A quadrature is formed from strided slice sums of its integrand, with
 the rule's weights applied to the sums, so no weight array is built;
@@ -38,7 +38,6 @@ __all__ = [
     "TailCaptureError",
     "GridMismatchError",
     "StencilConvergenceError",
-    "PropagationError",
     "GridSpec",
     "GridState",
     "sample",
@@ -68,10 +67,6 @@ class GridMismatchError(ValueError):
 
 class StencilConvergenceError(RuntimeError):
     """Finite-difference momentum moment did not converge on this grid."""
-
-
-class PropagationError(RuntimeError):
-    """The state to propagate or the propagated state is non-finite."""
 
 
 @dataclass(frozen=True)
@@ -116,28 +111,28 @@ class GridSpec:
         return GridSpec(self.x_min, 2 * self.n_points - 1, self.x_max)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridState:
-    """Complex wavefunction values on a grid at one time."""
+    """Complex wavefunction values on a grid at one time, finite by construction:
+    the values become complex128, and a shape that does not match the grid, or a
+    nan or an inf, raises ValueError.  Frozen, so a checked state keeps its values."""
 
     grid: GridSpec
     values: np.ndarray
     time: float
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid ({self.grid.n_points},)"
-            )
+        values = np.asarray(self.values, dtype=np.complex128)
+        object.__setattr__(self, "values", values)
+        if values.shape != (self.grid.n_points,):
+            raise ValueError(f"values shape {values.shape} does not match grid ({self.grid.n_points},)")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("state values are not all finite")
 
 
 def sample(wavefn, grid: GridSpec, t: float) -> GridState:
-    """Evaluate wavefn(x, t) pointwise on the grid."""
-    state = GridState(grid, wavefn(grid.points(), t), t)
-    if not np.all(np.isfinite(state.values)):
-        raise ValueError("wavefn produced non-finite values on the grid")
-    return state
+    """Evaluate wavefn(x, t) pointwise on the grid; GridState refuses non-finite values."""
+    return GridState(grid, wavefn(grid.points(), t), t)
 
 
 def _weighted_sum(f: np.ndarray, h: float, rule: str = "simpson"):
@@ -179,7 +174,7 @@ def _check_tails(state: GridState, abs2: np.ndarray | None = None) -> None:
     """
     v = state.values
     if abs2 is None:
-        # re^2 + im^2 a block at a time; initial= keeps a nan in the maximum
+        # re^2 + im^2 a block at a time; states are finite, so only overflow gives inf
         peak2 = 0.0
         for (re2, im2), vb in _blocks(2, v):
             np.square(vb.real, out=re2)
@@ -331,16 +326,14 @@ def propagate(initial: GridState, dt: float, steps: int, *, hbar: float, mass: f
     The grid ends are pinned to zero (Dirichlet), so the state must
     vanish at both; the caller must place x_min far enough out that
     nothing reflects off the artificial edge over the simulated horizon.
+    A result that is not finite is refused by the GridState returned.
     """
     if int(steps) != steps or steps < 0:
         raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
     if dt == 0.0 or not math.isfinite(dt):
         raise ValueError(f"dt must be finite and nonzero, got {dt!r}")
-    values = initial.values.astype(np.complex128, copy=True)
-    if not np.all(np.isfinite(values)):
-        raise PropagationError("initial state contains non-finite values")
     if steps == 0:
-        return GridState(initial.grid, values, initial.time)
+        return GridState(initial.grid, initial.values.copy(), initial.time)
     _check_tails(initial)
     n = initial.grid.n_points - 2
     lam = -4.0 * np.sin(np.arange(1, n + 1) * (0.5 * math.pi / (n + 1))) ** 2
@@ -348,11 +341,8 @@ def propagate(initial: GridState, dt: float, steps: int, *, hbar: float, mass: f
     # one step multiplies mode k by (m + ic*lam)/(m - ic*lam) with m = 1 + lam/12 > 0;
     # as exp(i*theta) its modulus is exactly 1 and -dt is its exact inverse
     theta = 2.0 * np.arctan2(c * lam, 1.0 + lam / 12.0)
-    interior = _dst1(np.exp(1j * (int(steps) * theta)) * _dst1(values[1:-1]))
-    if not np.all(np.isfinite(interior)):
-        raise PropagationError("propagated state went non-finite")
-    out = np.zeros_like(values)
-    out[1:-1] = interior
+    out = np.zeros_like(initial.values)
+    out[1:-1] = _dst1(np.exp(1j * (int(steps) * theta)) * _dst1(initial.values[1:-1]))
     return GridState(initial.grid, out, initial.time + dt * steps)
 
 

@@ -16,7 +16,6 @@ from wallbounce.oracle import (
     GridMismatchError,
     GridSpec,
     GridState,
-    PropagationError,
     StencilConvergenceError,
     TailCaptureError,
     moment_p,
@@ -153,6 +152,19 @@ def test_sample_rejects_non_finite():
     grid = GridSpec(-1.0, 5)
     with pytest.raises(ValueError):
         sample(lambda x, t: np.where(x < -0.5, np.inf, 1.0) + 0j, grid, 0.0)
+    # a state built directly is checked by the same rule
+    for bad in (complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.0, -np.inf)):
+        values = np.zeros(5, dtype=complex)
+        values[2] = bad
+        with pytest.raises(ValueError, match="not all finite"):
+            GridState(grid, values, 0.0)
+
+
+def test_grid_state_is_frozen():
+    st = GridState(GridSpec(-1.0, 5), np.zeros(5), 0.0)
+    assert st.values.dtype == np.complex128
+    with pytest.raises(AttributeError):
+        st.values = np.full(5, np.nan, dtype=complex)
 
 
 # --------------------------------------------------------------- quadrature
@@ -326,9 +338,9 @@ def test_propagate_validates_arguments():
         propagate(st, 0.0, 10, hbar=1.0, mass=1.0)
     with pytest.raises(ValueError):
         propagate(st, 1e-3, -1, hbar=1.0, mass=1.0)
-    bad = GridState(grid, np.full(201, np.nan, dtype=complex), 0.0)
-    with pytest.raises(PropagationError):
-        propagate(bad, 1e-3, 1, hbar=1.0, mass=1.0)
+    # a nan state cannot be built, so it cannot reach propagate
+    with pytest.raises(ValueError, match="not all finite"):
+        GridState(grid, np.full(201, np.nan, dtype=complex), 0.0)
 
 
 @pytest.mark.parametrize("n_points", [3, 5, 41])
