@@ -73,7 +73,10 @@ def phase_space_distance(params: PacketParams) -> float:
     mirrored packet overlaps the physical one: corrections to
     free-particle behaviour scale like exp(-distance).
     """
-    return (params.x0 / params.beta) ** 2 + (params.p0 * params.beta / params.hbar) ** 2
+    try:
+        return (params.x0 / params.beta) ** 2 + (params.p0 * params.beta / params.hbar) ** 2
+    except OverflowError:  # a square overflows: the image is infinitely far away
+        return math.inf
 
 
 def mirror_normalization(params: PacketParams) -> float:
@@ -104,6 +107,8 @@ def overlap_correction(z: float) -> float:
         raise ValueError(f"z must be >= 0, got {z!r}")
     if z == 0.0:
         return 1.0
+    if z == math.inf:  # the limit; inf * exp(-inf) would be nan
+        return 0.0
     return z * math.exp(-z) / (-math.expm1(-z))
 
 

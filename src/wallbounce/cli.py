@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from functools import cache, partial
@@ -152,7 +153,12 @@ class _Exit(Exception):
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that raises CliError where argparse would print its
     usage and exit, so every rejected input is one line and exit code 2,
-    and raises _Exit after --help, so that main returns 0 instead of exiting."""
+    and raises _Exit after --help, so that main returns 0 instead of exiting.
+    A negative number in exponent notation (--x0 -1e1) is a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise CliError(message)

@@ -82,6 +82,9 @@ def test_phase_space_distance_values():
     p = PacketParams(x0=-3.0, p0=4.0, alpha=1.0)
     assert phase_space_distance(p) == pytest.approx(25.0, abs=1e-14)
     assert phase_space_distance(PacketParams(x0=0.0, p0=0.0, alpha=1.0)) == 0.0
+    # a square that overflows is an infinite distance, not an OverflowError
+    assert phase_space_distance(PacketParams(x0=-1e160, p0=5.0, alpha=1.0)) == math.inf
+    assert phase_space_distance(PacketParams(x0=-10.0, p0=8.5e258, alpha=1.0)) == math.inf
 
 
 def test_phase_space_distance_both_forms_agree():
@@ -144,6 +147,7 @@ def test_overlap_correction_limit_and_values():
     assert overlap_correction(1e-12) == pytest.approx(1.0, abs=1e-11)
     assert overlap_correction(math.log(2.0)) == pytest.approx(math.log(2.0), rel=1e-14)
     assert overlap_correction(50.0) < 1e-19
+    assert overlap_correction(math.inf) == 0.0
     with pytest.raises(ValueError):
         overlap_correction(-0.1)
 

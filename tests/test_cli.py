@@ -276,6 +276,9 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
         ["autocorr", "--kind", "free", "--alpha", "1e-170"],
         ["moments", "--kind", "free", "--p0", "1e300"],
         ["autocorr", "--kind", "bouncer", "--p0", "1e-300"],
+        # a phase-space distance whose square overflows
+        ["moments", "--kind", "bouncer", "--p0", "8.5e258"],
+        ["moments", "--kind", "bouncer", "--x0=-1e160"],
     ]:
         assert run_cli(tmp_path, *argv)[0] == 2, argv
         err = capsys.readouterr().err
@@ -285,6 +288,20 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
         if argv[-1] == str(bad_key):
             assert f"{bad_key}:3: " in err
     assert set(tmp_path.iterdir()) == {bad_value, bad_key}  # no output file
+
+
+@pytest.mark.parametrize(
+    "flag, value, plain",
+    [("--x0", "-1e1", "-10.0"), ("--x0", "-1E+1", "-10.0"), ("--tmin", "-2.5e-1", "-0.25")],
+)
+def test_negative_exponent_values_are_values(tmp_path, flag, value, plain):
+    code, out = run_cli(tmp_path, "moments", flag, value, "--nt", "2")
+    assert code == 0
+    got = out.read_bytes()
+    assert run_cli(tmp_path, "moments", f"{flag}={plain}", "--nt", "2") == (0, out)
+    assert out.read_bytes() == got
+    # a value that is no number is still read as an option
+    assert run_cli(tmp_path, "moments", flag, value + "x", "--nt", "2")[0] == 2
 
 
 @pytest.mark.parametrize(
