@@ -298,7 +298,7 @@ def test_negative_exponent_values_are_values(tmp_path, flag, value, plain):
     code, out = run_cli(tmp_path, "moments", flag, value, "--nt", "2")
     assert code == 0
     got = out.read_bytes()
-    assert run_cli(tmp_path, "moments", f"{flag}={plain}", "--nt", "2") == (0, out)
+    assert run_cli(tmp_path, "moments", f"{flag}={plain}", "--nt", "2")[0] == 0
     assert out.read_bytes() == got
     # a value that is no number is still read as an option
     assert run_cli(tmp_path, "moments", flag, value + "x", "--nt", "2")[0] == 2
