@@ -2,13 +2,14 @@
 
 This module knows nothing about the closed forms it is used to check.
 States live on a uniform grid (by default the half-line [x_min, 0] with
-the wall as the last point) and are finite by construction (GridState);
-window_grid sizes a grid to hold a packet over a time window, on the
-full line or, reflected packet included, on the half line.  Moments and
-overlaps are composite-Simpson quadratures, momentum moments use
-finite-difference derivatives with an internal convergence estimate,
-and time evolution is an unconditionally stable, exactly norm-preserving
-Cayley (implicit midpoint) step of the free Hamiltonian with hard walls.
+the wall as the last point); a GridState is finite by construction and
+keeps its peak |psi|^2, which the tail checks read.  window_grid sizes a
+grid to hold a packet over a time window, on the full line or, reflected
+packet included, on the half line.  Moments and overlaps are
+composite-Simpson quadratures, momentum moments use finite-difference
+derivatives with an internal convergence estimate, and time evolution is
+an unconditionally stable, exactly norm-preserving Cayley (implicit
+midpoint) step of the free Hamiltonian with hard walls.
 
 A quadrature is formed from strided slice sums of its integrand, with
 the rule's weights applied to the sums, so no weight array is built;
@@ -27,7 +28,7 @@ type-I discrete sine basis, which diagonalises the step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,28 +107,34 @@ class GridSpec:
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
-    def refined(self) -> "GridSpec":
-        """Same span with halved spacing (n -> 2n - 1 keeps n odd)."""
-        return GridSpec(self.x_min, 2 * self.n_points - 1, self.x_max)
-
 
 @dataclass(frozen=True)
 class GridState:
     """Complex wavefunction values on a grid at one time, finite by construction:
     the values become complex128, and a shape that does not match the grid, or a
-    nan or an inf, raises ValueError.  Frozen, so a checked state keeps its values."""
+    nan or an inf, raises ValueError.  One block pass keeps max(re^2 + im^2) as
+    peak2 for the tail checks; a finite peak2 proves the values finite, so only an
+    infinite or nan one (squares that overflow are accepted) costs np.isfinite.
+    Frozen, so a checked state keeps its values."""
 
     grid: GridSpec
     values: np.ndarray
     time: float
+    peak2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.complex128)
         object.__setattr__(self, "values", values)
         if values.shape != (self.grid.n_points,):
             raise ValueError(f"values shape {values.shape} does not match grid ({self.grid.n_points},)")
-        if not np.all(np.isfinite(values)):
+        peak2 = 0.0
+        for (re2, im2), vb in _blocks(2, values):
+            np.square(vb.real, out=re2)
+            re2 += np.square(vb.imag, out=im2)
+            peak2 = re2.max(initial=peak2)  # a nan anywhere stays nan
+        if not peak2 < math.inf and not np.all(np.isfinite(values)):
             raise ValueError("state values are not all finite")
+        object.__setattr__(self, "peak2", float(peak2))
 
 
 def sample(wavefn, grid: GridSpec, t: float) -> GridState:
@@ -163,28 +170,19 @@ def _conj_times(v: np.ndarray, d: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_tails(state: GridState, abs2: np.ndarray | None = None) -> None:
+def _check_tails(state: GridState) -> None:
     """Raise TailCaptureError unless the state is negligible at both ends.
 
-    The ends' re^2 + im^2 are compared with TAIL_RTOL**2 * max|psi|^2, the
-    maximum taken from abs2 (|psi|^2 on the grid) when the caller has it,
-    so no hypot pass is made; where the squares overflow or come near
-    underflow, moduli are compared instead.  np.abs otherwise only
-    forms the message.  A zero state passes: its ends are not above 0.
+    The ends' re^2 + im^2 are compared with TAIL_RTOL**2 * state.peak2, the
+    max |psi|^2 the state measured when it was built, so no pass is made;
+    where the squares overflow or come near underflow, moduli are compared
+    instead.  np.abs otherwise only forms the message.  A zero state
+    passes: its ends are not above 0.
     """
     v = state.values
-    if abs2 is None:
-        # re^2 + im^2 a block at a time; states are finite, so only overflow gives inf
-        peak2 = 0.0
-        for (re2, im2), vb in _blocks(2, v):
-            np.square(vb.real, out=re2)
-            re2 += np.square(vb.imag, out=im2)
-            peak2 = re2.max(initial=peak2)
-    else:
-        peak2 = abs2.max()
-    if 1e-200 < peak2 < math.inf:
+    if 1e-200 < state.peak2 < math.inf:
         sizes = [z.real * z.real + z.imag * z.imag for z in (v[0], v[-1])]
-        limit = TAIL_RTOL**2 * peak2
+        limit = TAIL_RTOL**2 * state.peak2
     else:
         # the squares overflow or come near underflow: compare moduli
         sizes = [abs(v[0]), abs(v[-1])]
@@ -212,8 +210,8 @@ def moment_x(state: GridState, order: int, rule: str = "simpson") -> float:
     """
     if order < 0 or int(order) != order:
         raise ValueError(f"order must be a nonnegative integer, got {order!r}")
+    _check_tails(state)
     density = _abs2(state.values, np.empty(state.grid.n_points))
-    _check_tails(state, density)
     if order:
         x = state.grid.points()
         for _ in range(int(order)):
@@ -279,8 +277,9 @@ def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -
         scale = abs(m4)
     if scale > 0.0:
         # second-order error ~ (m2 - m4); fourth-order error ~ 1.2 * e2^2/scale,
-        # kept with a safety factor of 4
-        err_est = 5.0 * (m4 - m2) ** 2 / scale
+        # kept with a safety factor of 4 (e2 * (e2/scale): e2^2 may overflow)
+        e2 = m4 - m2
+        err_est = 5.0 * e2 * (e2 / scale)
         if err_est > rtol * scale:
             raise StencilConvergenceError(
                 f"estimated stencil error {err_est:.3e} exceeds rtol*scale = "

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import wallbounce
-from wallbounce import BouncerParams, PacketParams, psi_bouncer, psi_free
+from wallbounce import BouncerParams, PacketParams, oracle, psi_bouncer, psi_free
 from wallbounce.oracle import (
     MAX_GRID_POINTS,
     GridMismatchError,
@@ -47,21 +47,14 @@ def test_gridspec_validation():
     with pytest.raises(ValueError):
         GridSpec(1.0, 5, 0.0)  # x_min >= x_max
     # the point budget, checked before anything is allocated
-    largest = GridSpec(-1.0, MAX_GRID_POINTS - 1)  # the largest odd count
+    GridSpec(-1.0, MAX_GRID_POINTS - 1)  # the largest odd count
     with pytest.raises(ValueError, match="budget"):
-        largest.refined()
+        GridSpec(-1.0, MAX_GRID_POINTS + 1)  # odd, so the budget check is the one that fires
     with pytest.raises(ValueError, match="budget"):
         GridSpec(-1.0, 2 * 10**9 + 1)  # 30 GiB per complex state
     g = GridSpec(-1.0, 5)
     assert g.h == 0.25
     assert g.points()[-1] == 0.0
-
-
-def test_grid_refinement_halves_spacing():
-    g = GridSpec(-2.0, 9)
-    r = g.refined()
-    assert r.n_points == 17
-    assert r.h == pytest.approx(g.h / 2.0, rel=1e-15)
 
 
 def _parent_spacing(params, points_per_beta, mirrored):
@@ -158,6 +151,23 @@ def test_sample_rejects_non_finite():
         values[2] = bad
         with pytest.raises(ValueError, match="not all finite"):
             GridState(grid, values, 0.0)
+
+
+def test_grid_state_keeps_its_peak():
+    base = _kernel_state(2 * _BLOCK + 1, seed=5)
+    for c in (0.0, 1e-170, 1.0, 1e160):  # squares that overflow are accepted
+        with np.errstate(over="ignore"):
+            st = GridState(base.grid, c * base.values, 0.0)
+            assert st.peak2 == np.max(np.square(st.values.real) + np.square(st.values.imag))
+    assert st.peak2 == math.inf and "peak2" not in repr(st)
+    with pytest.raises(TypeError):
+        GridState(st.grid, st.values, 0.0, peak2=0.0)  # measured, never given
+    # a nan or an inf beside squares that overflow is still refused
+    for bad in (np.nan, np.inf):
+        values = st.values.copy()
+        values[-1] = bad
+        with pytest.raises(ValueError, match="not all finite"), np.errstate(over="ignore"):
+            GridState(st.grid, values, 0.0)
 
 
 def test_grid_state_is_frozen():
@@ -613,6 +623,65 @@ def test_overlap_matches_reference_kernel(n):
     scale = math.sqrt(ref_moment_x(a, 0) * ref_moment_x(b, 0))
     assert abs(overlap(a, b) - ref_overlap(a, b)) <= 1e-13 * scale
     assert abs(overlap(b, a) - ref_overlap(b, a)) <= 1e-13 * scale
+
+
+#: state scales from squares that underflow to squares that overflow
+TAIL_SCALES = [1e-170, 1e-160, 1e-120, 1e-101, 1e-99, 1.0, 1e150]
+
+
+def _tail_outcome(fn, *args, **kwargs):
+    """None, or the type and message of the TailCaptureError a call raised."""
+    try:
+        fn(*args, **kwargs)
+    except TailCaptureError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("envelope", list(ENVELOPES))
+@pytest.mark.parametrize("n", [9, 101, 40001])
+def test_tail_checks_match_the_reference_at_every_scale(n, envelope):
+    # small scales take the moduli branch, the others compare squares
+    base = _kernel_state(n, seed=n, envelope=envelope)
+    for c in TAIL_SCALES:
+        st = GridState(base.grid, c * base.values, 0.0)
+        want = _tail_outcome(ref_check_tails, st)
+        assert (want is None) == (envelope == "closed")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _tail_outcome(moment_x, st, 0) == want, c
+            assert _tail_outcome(moment_p, st, 1, hbar=1.0, rtol=1e3) == want, c
+            assert _tail_outcome(overlap, st, st) == want, c
+            assert _tail_outcome(propagate, st, 1e-3, 1, hbar=1.0, mass=1.0) == want, c
+
+
+def test_tail_checks_make_no_pass(monkeypatch):
+    # each GridState measures its peak once; the tail checks read it
+    a, b = _kernel_state(40001, seed=1), _kernel_state(40001, seed=2)
+    calls = []
+    blocks = oracle._blocks
+    monkeypatch.setattr(oracle, "_blocks", lambda *args: calls.append(args[0]) or blocks(*args))
+    for name, call, passes in [
+        ("overlap", lambda: overlap(a, b), 0),
+        ("moment_x", lambda: moment_x(a, 1), 1),  # the density
+        ("moment_p 1", lambda: moment_p(a, 1, hbar=1.0, rtol=1e3), 1),  # |psi'|^2, 4th order
+        ("moment_p 2", lambda: moment_p(a, 2, hbar=1.0, rtol=1e3), 2),  # and 2nd order
+        ("propagate", lambda: propagate(a, 1e-3, 10, hbar=1.0, mass=1.0), 1),  # its result
+    ]:
+        calls.clear()
+        call()
+        assert len(calls) == passes, name
+
+
+def test_moment_p_scales_with_a_large_state():
+    # (m4 - m2)**2 would overflow here; the estimate is formed without it
+    st = _kernel_state(101, seed=101)
+    big = GridState(st.grid, 1e100 * st.values, 0.0)
+    for order in (1, 2):
+        want = 1e200 * moment_p(st, order, hbar=1.0, rtol=1e3)
+        assert abs(moment_p(big, order, hbar=1.0, rtol=1e3) - want) <= 1e-12 * abs(want)
+        for state in (st, big):  # the same stencil-error decision at either scale
+            with pytest.raises(StencilConvergenceError):
+                moment_p(state, order, hbar=1.0)
 
 
 def _traced_peak(fn, *args, **kwargs):
