@@ -269,6 +269,13 @@ def _resolve(args) -> RunConfig:
         raise CliError(f"tmin and tmax must be finite, got tmin = {tmin}, tmax = {tmax}")
     if tmin > tmax:
         raise CliError(f"tmin = {tmin} must be <= tmax = {tmax}")
+    # the closed-form x moments stay below 2*(X(t)**2 + beta_t**2) and psi's phase
+    # is p0**2*t/(m*hbar): the window's ends bound both
+    for t in (tmin, tmax):
+        tau, x_t = t / params.t0, params.center(t)
+        spread = 2.0 * (x_t * x_t + params.beta**2 * (1.0 + tau * tau))
+        if not (math.isfinite(spread) and math.isfinite(params.p0**2 * t / (params.mass * params.hbar))):
+            raise CliError(f"the packet's position, width or phase overflows at t = {t}; choose a shorter window")
     # bounded before linspace allocates the nt times
     if not 1 <= nt <= MAX_GRID_POINTS:
         raise CliError(f"nt must be between 1 and {MAX_GRID_POINTS}, got {nt}")

@@ -64,7 +64,8 @@ class PacketParams:
     Derived scales: ``beta = alpha*hbar`` is the position-space width,
     ``t0 = mass*hbar*alpha**2`` the spreading time, and
     ``beta_t(t) = beta*sqrt(1 + (t/t0)**2)`` the width at time t.  beta**2
-    and t0 must be finite normal floats, or construction raises ValueError.
+    and t0 must be finite normal floats, and p0**2 finite, or construction
+    raises ValueError.
     """
 
     x0: float
@@ -85,6 +86,8 @@ class PacketParams:
         for name, value in (("beta**2", beta * beta), ("t0", self.mass * self.hbar * a2)):
             if not np.finfo(float).tiny <= value < math.inf:  # every other scale derives from these
                 raise ValueError(f"{name} = {value!r} is not a finite normal float; rescale alpha, hbar or mass")
+        if not self.p0 * self.p0 < math.inf:  # the phase carries p0**2
+            raise ValueError(f"p0**2 = {self.p0 * self.p0!r} is not a finite float; rescale p0")
 
     @property
     def beta(self) -> float:

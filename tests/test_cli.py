@@ -279,6 +279,19 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
         # a phase-space distance whose square overflows
         ["moments", "--kind", "bouncer", "--p0", "8.5e258"],
         ["moments", "--kind", "bouncer", "--x0=-1e160"],
+        # p0**2 overflows
+        ["density", "--kind", "free", "--p0", "1e155", "--xmin", "-20", "--nx", "401", "--nt", "1"],
+        ["density", "--kind", "bouncer", "--p0", "1e155", "--xmin", "-20", "--nx", "401", "--nt", "1"],
+        ["moments", "--kind", "free", "--p0", "-1e155", "--xmin", "-20", "--nx", "401", "--nt", "1"],
+        ["autocorr", "--kind", "bouncer", "--p0", "1e155", "--xmin", "-20", "--nx", "401", "--nt", "1"],
+        # beta_t**2, X(t)**2 or the phase overflows inside the window, on a grid given by hand
+        ["density", "--kind", "bouncer", "--tmin", "1e200", "--tmax", "1e200", "--xmin", "-20", "--nx", "401", "--nt", "1"],
+        ["density", "--kind", "free", "--tmax", "1e200", "--xmin", "-20", "--nx", "401", "--nt", "2"],
+        ["moments", "--kind", "free", "--tmin", "1e200", "--tmax", "1e200", "--xmin", "-20", "--nx", "401", "--nt", "1"],
+        ["autocorr", "--kind", "bouncer", "--tmin", "1e200", "--tmax", "1e200", "--xmin", "-20", "--nx", "401", "--nt", "1"],
+        ["density", "--kind", "wall", "--tmax", "1e300", "--xmin", "-20", "--nx", "401", "--nt", "2"],
+        ["moments", "--kind", "wall", "--tmin", "1.3e154", "--tmax", "1.3e154", "--xmin", "-20", "--nx", "401", "--nt", "1"],
+        ["moments", "--kind", "bouncer", "--p0", "1e100", "--tmax", "1e100", "--xmin", "-20", "--nx", "401", "--nt", "2"],
     ]:
         assert run_cli(tmp_path, *argv)[0] == 2, argv
         err = capsys.readouterr().err

@@ -27,6 +27,11 @@ def test_params_reject_nonpositive_scales():
     ):
         with pytest.raises(ValueError, match="normal float"):
             PacketParams(x0=0.0, p0=0.0, **bad)
+    # p0**2 overflows, where psi's phase and <p^2> need it
+    for p0 in (1.35e154, -1e155, 8.5e258):
+        with pytest.raises(ValueError, match=r"p0\*\*2 = inf"):
+            PacketParams(x0=0.0, p0=p0, alpha=1.0)
+    assert PacketParams(x0=0.0, p0=1.3e154, alpha=1.0).p0 == 1.3e154
 
 
 def test_params_reject_nonfinite():
