@@ -73,10 +73,9 @@ def phase_space_distance(params: PacketParams) -> float:
     mirrored packet overlaps the physical one: corrections to
     free-particle behaviour scale like exp(-distance).
     """
-    try:
-        return (params.x0 / params.beta) ** 2 + (params.p0 * params.beta / params.hbar) ** 2
-    except OverflowError:  # a square overflows: the image is infinitely far away
-        return math.inf
+    a = params.x0 / params.beta
+    b = params.p0 * params.beta / params.hbar
+    return a * a + b * b  # no **: a square that overflows is an infinite distance
 
 
 def mirror_normalization(params: PacketParams) -> float:
@@ -280,10 +279,13 @@ def autocorrelation_bouncer(params: PacketParams, t: float) -> complex:
     Equals the free autocorrelation times the mirror factor
     [1 - exp(-distance/(1 + i*t/2t0))] / [1 - exp(-distance)]; the
     modulus decreases monotonically, with no visible signature of the
-    collision itself.
+    collision itself.  Where the quotient is nan (an infinite or a
+    subnormal distance) the factor is its limit, 1 or 1/(1 + i*t/2t0).
     """
     mirror_normalization(params)  # raises DegenerateMirrorError at distance 0
     z = phase_space_distance(params)
+    if z == math.inf:
+        return autocorrelation_free(params, t)
     u = 1.0 + 0.5j * t / params.t0
-    factor = np.expm1(-z / u) / math.expm1(-z)
+    factor = np.expm1(-z / u) / math.expm1(-z) if z >= np.finfo(float).tiny else 1.0 / u
     return complex(autocorrelation_free(params, t) * factor)

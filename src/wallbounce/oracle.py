@@ -12,7 +12,7 @@ an unconditionally stable, exactly norm-preserving Cayley (implicit
 midpoint) step of the free Hamiltonian with hard walls.
 
 A quadrature is formed from strided slice sums of its integrand, with
-the rule's weights applied to the sums, so no weight array is built;
+Simpson's weights applied to the sums, so no weight array is built;
 |psi|^2 is re^2 + im^2, formed in the blocks of packets._blocks.
 Every sum is numpy's pairwise .sum(), never dot/vdot/einsum/matmul: a
 BLAS reduction rounds differently with the number of threads, which
@@ -142,17 +142,13 @@ def sample(wavefn, grid: GridSpec, t: float) -> GridState:
     return GridState(grid, wavefn(grid.points(), t), t)
 
 
-def _weighted_sum(f: np.ndarray, h: float, rule: str = "simpson"):
-    """Int f dx by a composite rule on spacing h.
+def _simpson(f: np.ndarray, h: float):
+    """Int f dx by composite Simpson on spacing h.
 
-    Simpson is (f[0] + f[-1] + 4*sum(f[1:-1:2]) + 2*sum(f[2:-1:2])) * h/3:
-    the weights scale pairwise slice sums, so no weight array is built.
+    (f[0] + f[-1] + 4*sum(f[1:-1:2]) + 2*sum(f[2:-1:2])) * h/3: the
+    weights scale pairwise slice sums, so no weight array is built.
     """
-    if rule == "simpson":
-        return (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()) * (h / 3.0)
-    if rule == "trapezoid":
-        return (0.5 * (f[0] + f[-1]) + f[1:-1].sum()) * h
-    raise ValueError(f"unknown quadrature rule {rule!r}")
+    return (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()) * (h / 3.0)
 
 
 def _abs2(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -202,7 +198,7 @@ def _check_tails(state: GridState) -> None:
             )
 
 
-def moment_x(state: GridState, order: int, rule: str = "simpson") -> float:
+def moment_x(state: GridState, order: int) -> float:
     """Quadrature of x**order * |psi|^2 over the grid.
 
     order 0 is the norm, orders 1 and 2 give <x> and <x^2>.  Raises
@@ -216,7 +212,7 @@ def moment_x(state: GridState, order: int, rule: str = "simpson") -> float:
         x = state.grid.points()
         for _ in range(int(order)):
             density *= x
-    return float(_weighted_sum(density, state.grid.h, rule))
+    return float(_simpson(density, state.grid.h))
 
 
 def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -> float:
@@ -254,9 +250,9 @@ def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -
     work = np.empty_like(v)
     abs2 = np.empty(v.size)
     if order == 1:
-        sum2 = float(_weighted_sum(_conj_times(v, d, work).imag, h))
+        sum2 = float(_simpson(_conj_times(v, d, work).imag, h))
     else:
-        sum2 = float(_weighted_sum(_abs2(d, abs2), h))
+        sum2 = float(_simpson(_abs2(d, abs2), h))
     # in place, d = 12h * psi' to 4th order, with 4th-order one-sided ends
     inner = d[2:-2]
     inner *= 8.0
@@ -265,9 +261,9 @@ def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -
     d[1] = -3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]
     d[-2] = 3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]
     d[-1] = 25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]
-    sum4_abs2 = float(_weighted_sum(_abs2(d, abs2), h))
+    sum4_abs2 = float(_simpson(_abs2(d, abs2), h))
     if order == 1:
-        m4 = hbar * float(_weighted_sum(_conj_times(v, d, work).imag, h)) / (12.0 * h)
+        m4 = hbar * float(_simpson(_conj_times(v, d, work).imag, h)) / (12.0 * h)
         m2 = hbar * sum2 / (2.0 * h)
         # momentum scale for near-zero means, from the same derivative data
         scale = max(abs(m4), hbar * math.sqrt(abs(sum4_abs2)) / (12.0 * h))
@@ -296,7 +292,7 @@ def overlap(a: GridState, b: GridState) -> complex:
     _check_tails(a)
     _check_tails(b)
     product = _conj_times(a.values, b.values, np.empty_like(a.values))
-    return complex(_weighted_sum(product, a.grid.h))
+    return complex(_simpson(product, a.grid.h))
 
 
 def _dst1(v: np.ndarray) -> np.ndarray:

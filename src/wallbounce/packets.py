@@ -64,8 +64,8 @@ class PacketParams:
     Derived scales: ``beta = alpha*hbar`` is the position-space width,
     ``t0 = mass*hbar*alpha**2`` the spreading time, and
     ``beta_t(t) = beta*sqrt(1 + (t/t0)**2)`` the width at time t.  beta**2
-    and t0 must be finite normal floats, and p0**2 finite, or construction
-    raises ValueError.
+    and t0 must be finite normal floats, and p0**2 + 2/alpha**2 (above
+    every kind's <p^2>) finite, or construction raises ValueError.
     """
 
     x0: float
@@ -88,6 +88,8 @@ class PacketParams:
                 raise ValueError(f"{name} = {value!r} is not a finite normal float; rescale alpha, hbar or mass")
         if not self.p0 * self.p0 < math.inf:  # the phase carries p0**2
             raise ValueError(f"p0**2 = {self.p0 * self.p0!r} is not a finite float; rescale p0")
+        if not (p2 := self.p0 * self.p0 + 2.0 / a2) < math.inf:  # bounds every kind's <p^2>
+            raise ValueError(f"p0**2 + 2/alpha**2 = {p2!r} is not a finite float; rescale p0 or alpha")
 
     @property
     def beta(self) -> float:
@@ -274,7 +276,7 @@ def free_moments(params: PacketParams, t: float) -> Moments:
 def autocorrelation_free(params: PacketParams, t: float):
     """Overlap Int psi*(x,0) psi(x,t) dx of the free Gaussian with its evolution.
 
-    A(t) = (1 + i*t/2t0)**(-1/2) * exp[-i*alpha**2*p0**2*t / (2*t0*(1 + i*t/2t0))],
+    A(t) = (1 + i*t/2t0)**(-1/2) * exp[-i*(p0**2*t/(mass*hbar)) / (2*(1 + i*t/2t0))],
     so A(0) = 1 and |A(t)|**2 = (1 + (t/2t0)**2)**(-1/2)
     * exp[-2*alpha**2*p0**2*(t/2t0)**2/(1 + (t/2t0)**2)] decreases
     monotonically in |t| through both the dispersive prefactor and the
@@ -282,6 +284,5 @@ def autocorrelation_free(params: PacketParams, t: float):
     mean energy, as the defining integral requires.
     """
     u = 1.0 + 0.5j * t / params.t0
-    return complex(
-        np.exp(-1j * params.alpha**2 * params.p0**2 * t / (2.0 * params.t0 * u)) / np.sqrt(u)
-    )
+    # p0**2*t/(mass*hbar) as the CLI's phase check forms it, so it is finite there
+    return complex(np.exp(-1j * params.p0**2 * t / (params.mass * params.hbar) / (2.0 * u)) / np.sqrt(u))

@@ -390,6 +390,20 @@ def test_autocorrelation_bouncer_reduces_to_free():
         assert abs(autocorrelation_bouncer(bp, t) - autocorrelation_free(p, t)) < 1e-12
 
 
+def test_autocorrelation_bouncer_limits():
+    # an infinite distance: the free autocorrelation itself
+    far = PacketParams(x0=-10.0, p0=1e60, alpha=1e100, hbar=1e-100)
+    assert phase_space_distance(far) == math.inf
+    for t in (0.0, 0.3 * far.t0, -2.0 * far.t0):
+        assert autocorrelation_bouncer(far, t) == autocorrelation_free(far, t)
+    # a subnormal distance: the factor's z -> 0 limit 1/(1 + i*t/2t0)
+    near = PacketParams(x0=-1e-176, p0=-3.2e-160, alpha=361.8, hbar=0.0025, mass=0.58)
+    assert 0.0 < phase_space_distance(near) < np.finfo(float).tiny
+    for t in (0.0, 76.0, -3.0):
+        want = autocorrelation_free(near, t) / (1.0 + 0.5j * t / near.t0)
+        assert abs(autocorrelation_bouncer(near, t) - want) <= 1e-15 * abs(want)
+
+
 def test_autocorrelation_bouncer_degenerate_raises():
     with pytest.raises(DegenerateMirrorError):
         autocorrelation_bouncer(BouncerParams(PacketParams(x0=0.0, p0=0.0, alpha=1.0)), 1.0)

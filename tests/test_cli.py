@@ -1,5 +1,6 @@
 """CLI round trips: file formats, determinism, exit codes."""
 
+import cmath
 import csv
 import importlib.util
 import json
@@ -292,6 +293,11 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
         ["density", "--kind", "wall", "--tmax", "1e300", "--xmin", "-20", "--nx", "401", "--nt", "2"],
         ["moments", "--kind", "wall", "--tmin", "1.3e154", "--tmax", "1.3e154", "--xmin", "-20", "--nx", "401", "--nt", "1"],
         ["moments", "--kind", "bouncer", "--p0", "1e100", "--tmax", "1e100", "--xmin", "-20", "--nx", "401", "--nt", "2"],
+        # <p^2> overflows: alpha**2 is subnormal, 1/alpha**2 finite in the second
+        ["moments", "--kind", "free", "--alpha", "1e-160", "--hbar", "1e160", "--mass", "1e10", "--nt", "2"],
+        ["moments", "--kind", "free-node", "--alpha", "8.16e-155", "--hbar", "1e154", "--nt", "2"],
+        ["moments", "--kind", "wall", "--alpha", "1e-160", "--hbar", "1e160", "--mass", "1e10", "--nt", "2"],
+        ["moments", "--kind", "wall", "--alpha", "8.16e-155", "--hbar", "1e154", "--nt", "2"],
     ]:
         assert run_cli(tmp_path, *argv)[0] == 2, argv
         err = capsys.readouterr().err
@@ -512,6 +518,24 @@ def test_every_kind_matches_its_closed_forms(tmp_path, command, kind):
             assert complex(float(row["re_exact"]), float(row["im_exact"])) == a
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # (alpha*p0)**2 overflows where p0**2*t/(mass*hbar) does not
+        ["--kind", "free", "--x0=-0.005", "--p0", "1.5e129", "--alpha", "3.7e46", "--hbar", "5.3e-79",
+         "--mass", "8.5e-157"],
+        # the phase-space distance is infinite, or subnormal
+        ["--kind", "bouncer", "--x0", "-10", "--p0", "1e60", "--alpha", "1e100", "--hbar", "1e-100"],
+        ["--kind", "bouncer", "--x0=-1e-176", "--p0=-3.2e-160", "--alpha", "361.8", "--hbar", "0.0025"],
+    ],
+)
+def test_autocorr_exact_columns_at_extreme_scales(tmp_path, argv):
+    code, out = run_cli(tmp_path, "autocorr", *argv, "--tmax", "0", "--nt", "1", "--xmin", "-20", "--nx", "401")
+    assert code == 0
+    (row,) = read_csv(out)[1]
+    assert [float(row[k]) for k in ("re_exact", "im_exact", "abs2_exact")] == [1.0, 0.0, 1.0]
+
+
 def test_stdout_output(capsys):
     code = main(["autocorr", "--nt", "3", "--tmax", "1", "--kind", "free"])
     assert code == 0
@@ -590,3 +614,40 @@ def test_exit_code_sweep(tmp_path, capsys):
         out.unlink(missing_ok=True)
         codes.append(code)
     assert len(codes) == 40 and set(codes) == {0, 1, 2}
+
+
+def test_closed_forms_finite_at_window_ends():
+    # seeded requests over every kind, with alpha, hbar, mass, |x0|, p0 and
+    # tmax each log-uniform over 1e-200 to 1e200 half the time: wherever
+    # _resolve accepts one, every closed form at the window's ends is finite
+    from wallbounce.cli import _KINDS, KINDS, CliError, _parser, _resolve
+
+    rng = np.random.default_rng(20261019)
+
+    def scale():
+        decades = 200.0 if rng.random() < 0.5 else 3.0
+        return float(10.0 ** rng.uniform(-decades, decades))
+
+    accepted = 0
+    for _ in range(1000):
+        kind = KINDS[rng.integers(len(KINDS))]
+        argv = ["moments", "--kind", kind, "--nt", "2"]
+        argv += [f"--{name}={scale()!r}" for name in ("alpha", "hbar", "mass", "tmax")]
+        if rng.random() < 0.25:
+            argv.append(f"--tmin={-scale()!r}")
+        if kind != "wall":  # the wall packet takes x0 = p0 = 0 only
+            x0 = -scale() if kind == "bouncer" or rng.random() < 0.5 else scale()
+            p0 = scale() if rng.random() < 0.5 else -scale()
+            argv += [f"--x0={x0!r}", f"--p0={p0!r}"]
+        try:
+            cfg = _resolve(_parser().parse_args(argv))
+        except CliError:
+            continue
+        accepted += 1
+        closed = _KINDS[kind]
+        for t in (cfg.tmin, cfg.tmax):
+            values = [v for v in closed.exact(cfg.params, t) if v is not None]
+            if closed.autocorr is not None:
+                values.append(closed.autocorr(cfg.params, t))
+            assert all(map(cmath.isfinite, values)), (argv, t, values)
+    assert accepted > 400

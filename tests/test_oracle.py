@@ -220,11 +220,10 @@ def test_simpson_fourth_order_richardson():
 def test_trapezoid_cross_check_rule():
     grid = window_grid(PP, 0.0, 0.0, half_line=False)
     st = sample(lambda x, t: psi_free(PP, x, t), grid, 0.0)
-    simpson = moment_x(st, 2, rule="simpson")
-    trapezoid = moment_x(st, 2, rule="trapezoid")
+    # the oracle's Simpson against the weight-array trapezoid reference below
+    simpson = moment_x(st, 2)
+    trapezoid = ref_moment_x(st, 2, "trapezoid")
     assert simpson == pytest.approx(trapezoid, rel=1e-8)
-    with pytest.raises(ValueError):
-        moment_x(st, 2, rule="midpoint")
 
 
 def test_moment_x_rejects_bad_order():
@@ -582,13 +581,11 @@ def _assert_same_outcome(got, want, scale):
 @pytest.mark.parametrize("n", KERNEL_SIZES)
 def test_moment_x_matches_reference_kernel(n, envelope):
     st = _kernel_state(n, seed=n, envelope=envelope)
-    for rule in ("simpson", "trapezoid"):
-        norm = _outcome(ref_moment_x, st, 0, rule)
-        for order in range(4):
-            want = _outcome(ref_moment_x, st, order, rule)
-            scale = 1.0 if isinstance(norm, tuple) else norm * 1.5**order
-            _assert_same_outcome(_outcome(moment_x, st, order, rule), want, scale)
-    assert _outcome(moment_x, st, 1, "midpoint") == _outcome(ref_moment_x, st, 1, "midpoint")
+    norm = _outcome(ref_moment_x, st, 0)
+    for order in range(4):
+        want = _outcome(ref_moment_x, st, order)
+        scale = 1.0 if isinstance(norm, tuple) else norm * 1.5**order
+        _assert_same_outcome(_outcome(moment_x, st, order), want, scale)
 
 
 @pytest.mark.parametrize("envelope", list(ENVELOPES))

@@ -32,6 +32,10 @@ def test_params_reject_nonpositive_scales():
         with pytest.raises(ValueError, match=r"p0\*\*2 = inf"):
             PacketParams(x0=0.0, p0=p0, alpha=1.0)
     assert PacketParams(x0=0.0, p0=1.3e154, alpha=1.0).p0 == 1.3e154
+    # p0**2 + 2/alpha**2, above every kind's <p^2>, overflows
+    for bad in (dict(alpha=1e-160, hbar=1e160, mass=1e10), dict(alpha=8.16e-155, hbar=1e154)):
+        with pytest.raises(ValueError, match=r"p0\*\*2 \+ 2/alpha\*\*2 = inf"):
+            PacketParams(x0=0.0, p0=0.0, **bad)
 
 
 def test_params_reject_nonfinite():
@@ -63,11 +67,13 @@ def test_psi_free_natural_units_origin():
 
 
 def test_psi_free_norm_trapezoid_quadrature():
-    # trapezoid is the cross-check rule; tails make it spectrally accurate here
+    # a trapezoid sum, independent of the oracle's Simpson; tails make it
+    # spectrally accurate here
     t = 3.0 * PP.t0
     grid = window_grid(PP, 0.0, t, half_line=False)
-    state = sample(lambda x, tt: psi_free(PP, x, tt), grid, t)
-    assert abs(moment_x(state, 0, rule="trapezoid") - 1.0) < 1e-10
+    density = np.abs(psi_free(PP, grid.points(), t)) ** 2
+    norm = (0.5 * (density[0] + density[-1]) + density[1:-1].sum()) * grid.h
+    assert abs(norm - 1.0) < 1e-10
 
 
 def test_phi_free_peak_modulus():
