@@ -178,9 +178,11 @@ def psi_bouncer(params: PacketParams, x, t: float):
 def position_second_moment(params: PacketParams, t: float) -> float:
     """Exact <x^2> at time t: free value X(t)**2 + beta_t**2/2 plus the
     wall correction beta_t**2 * overlap_correction(distance)."""
-    bt2 = params.beta_t(t) ** 2
-    free = params.center(t) ** 2 + 0.5 * bt2
-    return free + bt2 * overlap_correction(phase_space_distance(params))
+    bt, big_x = params.beta_t(t), params.center(t)
+    bt2 = bt * bt
+    free = big_x * big_x + 0.5 * bt2
+    corr = overlap_correction(phase_space_distance(params))
+    return free + bt2 * corr if corr else free  # inf * 0 would be nan
 
 
 def momentum_second_moment(params: PacketParams) -> float:
@@ -232,7 +234,7 @@ def x_mean_near_collision(params: PacketParams, t: float, terms: int = 2) -> flo
         )
     value = -bt / _SQRT_PI
     if terms == 2:
-        value -= big_x**2 / (bt * _SQRT_PI)
+        value -= big_x * big_x / (bt * _SQRT_PI)
     return value
 
 

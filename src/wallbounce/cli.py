@@ -183,8 +183,8 @@ _OPTIONS = {
     "tmin": (_PHYSICS, dict(type=float, default=0.0, help="first time (default 0)")),
     "tmax": (_PHYSICS, dict(type=float, help="last time (default: twice the collision time)")),
     "nt": (_PHYSICS, dict(type=int, help="number of time samples")),
-    "xmin": (_ALL, dict(type=float, help="grid left edge override")),
-    "nx": (_ALL, dict(type=int, help="grid point count override (odd)")),
+    "xmin": (_PHYSICS, dict(type=float, help="grid left edge override")),
+    "nx": (_PHYSICS, dict(type=int, help="grid point count override (odd)")),
     "format": (_ALL, dict(choices=("csv", "json"), default="csv", help="output format (default csv)")),
     "out": (_ALL, dict(default="-", help="output path, '-' for stdout (default)")),
     "config": (_ALL, dict(help="key=value config file; flags override it")),
@@ -199,8 +199,8 @@ class RunConfig:
     command: str
     format: str
     out: str
-    xmin: float | None
-    nx: int | None
+    xmin: float | None = None
+    nx: int | None = None
     kind: str | None = None
     params: PacketParams | None = None
     tmin: float | None = None
@@ -233,9 +233,7 @@ def _config_tokens(command: str, path: str) -> list[str]:
 
 def _resolve(args) -> RunConfig:
     """Check the parsed flags and fill in the defaults that depend on other values."""
-    if (args.xmin is None) != (args.nx is None):
-        raise CliError("--xmin and --nx must be given together")
-    common = (args.command, args.format, args.out, args.xmin, args.nx)
+    common = (args.command, args.format, args.out)
     if args.command == "validate":
         criteria = None
         if args.criteria is not None:
@@ -247,6 +245,8 @@ def _resolve(args) -> RunConfig:
                 raise CliError(f"unknown criteria: {', '.join(sorted(unknown))}")
         return RunConfig(*common, criteria=criteria)
 
+    if (args.xmin is None) != (args.nx is None):
+        raise CliError("--xmin and --nx must be given together")
     kind = _KINDS[args.kind]
     x0 = kind.default[0] if args.x0 is None else args.x0
     p0 = kind.default[1] if args.p0 is None else args.p0
@@ -279,7 +279,7 @@ def _resolve(args) -> RunConfig:
     # bounded before linspace allocates the nt times
     if not 1 <= nt <= MAX_GRID_POINTS:
         raise CliError(f"nt must be between 1 and {MAX_GRID_POINTS}, got {nt}")
-    return RunConfig(*common, args.kind, params, tmin, tmax, nt)
+    return RunConfig(*common, args.xmin, args.nx, args.kind, params, tmin, tmax, nt)
 
 
 def _wavefunction(cfg: RunConfig):
@@ -292,8 +292,7 @@ def _grid(
     t_hi: float | None = None,
     points_per_beta: float | None = None,
 ) -> GridSpec:
-    # validate's --xmin/--nx grid is for its gates on the half line
-    half_line = cfg.kind is None or _KINDS[cfg.kind].half_line
+    half_line = _KINDS[cfg.kind].half_line
     try:
         if cfg.xmin is not None:
             return GridSpec(cfg.xmin, cfg.nx, 0.0 if half_line else -cfg.xmin)
@@ -497,11 +496,7 @@ def cmd_autocorr(cfg: RunConfig, stream) -> int:
 
 
 def cmd_validate(cfg: RunConfig, stream) -> int:
-    results = run_all(
-        grid_override=_grid(cfg) if cfg.xmin is not None else None,
-        criteria=cfg.criteria,
-        progress=lambda msg: print(msg, file=sys.stderr),
-    )
+    results = run_all(cfg.criteria, progress=lambda msg: print(msg, file=sys.stderr))
     columns = {
         "id": [r.cid for r in results],
         "passed": [r.passed for r in results],

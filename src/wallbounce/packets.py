@@ -137,8 +137,10 @@ class Moments:
 
     @classmethod
     def from_raw(cls, time, x_mean, x2_mean, p_mean, p2_mean) -> "Moments":
-        x_var = x2_mean - x_mean**2
-        p_var = p2_mean - p_mean**2
+        if not (math.isfinite(x2_mean) and math.isfinite(p2_mean)):
+            raise ValueError(f"second moments are not finite floats at t = {time!r}")
+        x_var = x2_mean - x_mean * x_mean
+        p_var = p2_mean - p_mean * p_mean
         if x_var < 0.0 or p_var < 0.0:
             raise ValueError("second moment smaller than squared mean")
         return cls(time, x_mean, x2_mean, math.sqrt(x_var), p_mean, p2_mean, math.sqrt(p_var))
@@ -268,9 +270,10 @@ def free_moments(params: PacketParams, t: float) -> Moments:
     The uncertainty product is (hbar/2)*sqrt(1 + (t/t0)**2).
     """
     x_mean = params.center(t)
-    x_var = 0.5 * params.beta_t(t) ** 2
+    bt = params.beta_t(t)
+    x_var = 0.5 * bt * bt
     p_var = 0.5 / params.alpha**2
-    return Moments.from_raw(t, x_mean, x_mean**2 + x_var, params.p0, params.p0**2 + p_var)
+    return Moments.from_raw(t, x_mean, x_mean * x_mean + x_var, params.p0, params.p0**2 + p_var)
 
 
 def autocorrelation_free(params: PacketParams, t: float):

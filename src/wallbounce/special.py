@@ -93,9 +93,10 @@ def node_packet_moments(sp: PacketParams, t: float) -> Moments:
     three times the minimal Gaussian product.
     """
     x_mean = sp.center(t)
-    x_var = 1.5 * sp.beta_t(t) ** 2
+    bt = sp.beta_t(t)
+    x_var = 1.5 * bt * bt
     p_var = 1.5 / sp.alpha**2
-    return Moments.from_raw(t, x_mean, x_mean**2 + x_var, sp.p0, sp.p0**2 + p_var)
+    return Moments.from_raw(t, x_mean, x_mean * x_mean + x_var, sp.p0, sp.p0**2 + p_var)
 
 
 def _require_zero_offset(sp: PacketParams):
@@ -133,7 +134,7 @@ def wall_packet_moments(sp: PacketParams, t: float) -> Moments:
     bt = sp.beta_t(t)
     hb = sp.hbar / sp.beta
     x_mean = -2.0 * bt / _SQRT_PI
-    x2_mean = 1.5 * bt**2
+    x2_mean = 1.5 * bt * bt
     p_mean = -(2.0 * hb / _SQRT_PI) * s / math.sqrt(1.0 + s * s)
     p2_mean = 1.5 * hb**2
     return Moments.from_raw(t, x_mean, x2_mean, p_mean, p2_mean)

@@ -2,10 +2,10 @@
 
 Each criterion is a self-contained check returning a pass/fail record
 with its measured numbers; :func:`run_all` executes them in order and
-never raises (errors are recorded as failures).  The grids and step
-sizes below were fixed by a halving convergence study; the quadrature
-grids come from the oscillation-aware defaults in
-:mod:`wallbounce.oracle`.
+never raises (errors are recorded as failures).  Every check builds its
+own grid, and no caller can replace it: the grids and step sizes below
+were fixed by a halving convergence study, and the quadrature grids
+come from the oscillation-aware defaults in :mod:`wallbounce.oracle`.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ def _check_normalization():
     return passed, detail, {"worst_t0": worst0, "worst_2tc": worst2}
 
 
-def _check_even_moments(grid_override):
+def _check_even_moments():
     t_max = 3.0 * DEMO_PARAMS.collision_time
-    grid = grid_override or window_grid(DEMO_PARAMS, 0.0, t_max, half_line=True)
+    grid = window_grid(DEMO_PARAMS, 0.0, t_max, half_line=True)
     worst_x2 = worst_p2 = 0.0
     p2_closed = momentum_second_moment(DEMO_PARAMS)
     p2_vals = []
@@ -186,9 +186,9 @@ def _check_effective_force():
     return passed, detail, {"rel_err": rel, "ratio": ratio}
 
 
-def _check_autocorrelation(grid_override):
+def _check_autocorrelation():
     t_max = 3.0 * DEMO_PARAMS.collision_time
-    grid = grid_override or window_grid(DEMO_PARAMS, 0.0, t_max, half_line=True)
+    grid = window_grid(DEMO_PARAMS, 0.0, t_max, half_line=True)
     ref = _state(DEMO_PARAMS, grid, 0.0)
     ts = np.linspace(0.0, t_max, 25)
     worst = 0.0
@@ -309,21 +309,12 @@ _CRITERIA = [
 
 CRITERION_IDS = [cid for cid, _, _ in _CRITERIA]
 
-#: the criteria whose check takes run_all's grid_override
-_GRID_CRITERIA = {"C02", "C07"}
 
-
-def run_all(
-    grid_override: GridSpec | None = None,
-    criteria: list[str] | None = None,
-    progress=None,
-) -> list[CriterionResult]:
+def run_all(criteria: list[str] | None = None, progress=None) -> list[CriterionResult]:
     """Run the acceptance criteria and return one result record per criterion.
 
-    grid_override replaces the default demo-parameter quadrature grid of
-    C02 and C07, the criteria that use one (a deliberately narrow grid
-    surfaces the tail-capture guard as a failure); no other check takes
-    it.  criteria selects a subset by id.
+    Each check runs on its own grid.  criteria selects a subset by id;
+    progress, if given, is called with one line before each check.
     """
     selected = set(criteria) if criteria is not None else None
     unknown = (selected or set()) - set(CRITERION_IDS)
@@ -335,9 +326,8 @@ def run_all(
             continue
         if progress is not None:
             progress(f"running {cid}: {description}")
-        args = (grid_override,) if cid in _GRID_CRITERIA else ()
         try:
-            passed, detail, measured = check(*args)
+            passed, detail, measured = check()
         except Exception as exc:  # surfaced as a failed criterion, not a crash
             passed, detail, measured = False, f"{type(exc).__name__}: {exc}", {}
         results.append(CriterionResult(cid, description, passed, detail, measured))

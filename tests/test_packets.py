@@ -119,6 +119,29 @@ def test_moments_reject_inconsistent_values():
         Moments.from_raw(0.0, x_mean=2.0, x2_mean=1.0, p_mean=0.0, p2_mean=1.0)
 
 
+def test_closed_forms_at_huge_time_refuse_or_saturate():
+    # beta_t**2 and X(t)**2 overflow at t = 1e200: a Moments is refused with
+    # a ValueError that names t, and a single moment saturates
+    from wallbounce import (
+        ApproximationWindowWarning, node_packet_moments, position_second_moment,
+        wall_packet_moments, wall_packet_uncertainty, x_mean_near_collision,
+    )
+
+    t = 1e200
+    params, wall = PacketParams(-10.0, 5.0, 1.0), PacketParams(0.0, 0.0, 1.0)
+    for moments, p in [
+        (free_moments, params), (node_packet_moments, params),
+        (wall_packet_moments, wall), (wall_packet_uncertainty, wall),
+    ]:
+        with pytest.raises(ValueError, match="t = 1e"):
+            moments(p, t)
+    assert position_second_moment(params, t) == math.inf
+    # a wall correction that underflows to 0 leaves the free value, not inf * 0
+    assert position_second_moment(PacketParams(-100.0, 5.0, 1.0), t) == math.inf
+    with pytest.warns(ApproximationWindowWarning):
+        assert x_mean_near_collision(params, t) == -math.inf
+
+
 def test_free_uncertainty_product():
     for t in (0.0, 0.5, 2.0, 17.0):
         m = free_moments(PP, t)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from wallbounce.oracle import GridSpec
 from wallbounce.validation import CRITERION_IDS, run_all
 
 
@@ -25,9 +24,8 @@ def test_criterion_ids_are_stable():
     assert CRITERION_IDS == [f"C{i:02d}" for i in range(1, 12)]
 
 
-def test_grid_override_failure_is_captured_not_raised():
-    narrow = GridSpec(-20.0, 4001, 0.0)
-    results = run_all(grid_override=narrow, criteria=["C02"])
+def test_check_error_is_captured_not_raised(failing_c02):
+    results = run_all(criteria=["C02"])
     assert len(results) == 1
     assert not results[0].passed
     assert "TailCaptureError" in results[0].detail
