@@ -384,6 +384,8 @@ def test_validate_text_columns_have_no_units(tmp_path):
         ["density", "--tmax", "1e4"],  # the automatic grid would take 7.7e6 points
         ["moments", "--tmax", "1e4"],  # 2.0e8 points
         ["density", "--xmin", "-50", "--nx", "100000001"],
+        ["moments", "--xmin", "-50", "--nx", "100000001"],
+        ["autocorr", "--xmin", "-50", "--nx", "1000"],  # even
     ],
 )
 def test_bad_grid_exits_two(tmp_path, capsys, argv):
