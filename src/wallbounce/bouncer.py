@@ -255,7 +255,7 @@ def p_mean_at_collision(params: PacketParams) -> float:
     """
     tc = _require_collision_time(params)
     s = tc / params.t0
-    return -(params.hbar / (params.beta * _SQRT_PI)) * s / math.sqrt(1.0 + s * s)
+    return -(params.hbar / (params.beta * _SQRT_PI)) * (s / math.hypot(1.0, s))
 
 
 def effective_force(params: PacketParams) -> float:

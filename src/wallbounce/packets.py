@@ -63,7 +63,7 @@ class PacketParams:
     -----
     Derived scales: ``beta = alpha*hbar`` is the position-space width,
     ``t0 = mass*hbar*alpha**2`` the spreading time, and
-    ``beta_t(t) = beta*sqrt(1 + (t/t0)**2)`` the width at time t.  beta**2
+    ``beta_t(t) = beta*hypot(1, t/t0)`` the width at time t.  beta**2
     and t0 must be finite normal floats, and p0**2 + 2/alpha**2 (above
     every kind's <p^2>) finite, or construction raises ValueError.
     """
@@ -101,10 +101,7 @@ class PacketParams:
 
     def beta_t(self, t: float) -> float:
         """Width scale at time t; beta_t(0) = beta, growing like |t|/t0."""
-        try:
-            return self.beta * math.sqrt(1.0 + (t / self.t0) ** 2)
-        except OverflowError:  # (t/t0)**2 overflows, so 1 is negligible beside it
-            return self.beta * abs(t / self.t0)
+        return self.beta * math.hypot(1.0, t / self.t0)
 
     def center(self, t: float) -> float:
         """Classical free-flight center X(t) = x0 + p0*t/mass."""
@@ -120,30 +117,29 @@ class PacketParams:
 
 @dataclass(frozen=True)
 class Moments:
-    """Position and momentum moments of a state at one instant.
+    """Position and momentum means and variances of a state at one instant.
 
-    ``x_sd`` and ``p_sd`` are the standard deviations derived from the
-    first and second moments; construction via :meth:`from_raw` keeps
-    them consistent by definition.
+    Second moments are mean*mean + variance and spreads sqrt(variance), so
+    no spread cancels far from the origin.  A second moment that is not
+    finite, or a negative variance, raises ValueError naming the time.
     """
 
     time: float
     x_mean: float
-    x2_mean: float
-    x_sd: float
+    x_var: float
     p_mean: float
-    p2_mean: float
-    p_sd: float
+    p_var: float
 
-    @classmethod
-    def from_raw(cls, time, x_mean, x2_mean, p_mean, p2_mean) -> "Moments":
-        if not (math.isfinite(x2_mean) and math.isfinite(p2_mean)):
-            raise ValueError(f"second moments are not finite floats at t = {time!r}")
-        x_var = x2_mean - x_mean * x_mean
-        p_var = p2_mean - p_mean * p_mean
-        if x_var < 0.0 or p_var < 0.0:
-            raise ValueError("second moment smaller than squared mean")
-        return cls(time, x_mean, x2_mean, math.sqrt(x_var), p_mean, p2_mean, math.sqrt(p_var))
+    def __post_init__(self):
+        if not (math.isfinite(self.x2_mean) and math.isfinite(self.p2_mean)):
+            raise ValueError(f"second moments are not finite floats at t = {self.time!r}")
+        if self.x_var < 0.0 or self.p_var < 0.0:
+            raise ValueError(f"negative variance at t = {self.time!r}")
+
+    x2_mean = property(lambda self: self.x_mean * self.x_mean + self.x_var)
+    p2_mean = property(lambda self: self.p_mean * self.p_mean + self.p_var)
+    x_sd = property(lambda self: math.sqrt(self.x_var))
+    p_sd = property(lambda self: math.sqrt(self.p_var))
 
     def uncertainty_product(self) -> float:
         return self.x_sd * self.p_sd
@@ -263,17 +259,20 @@ def phi_free(params: PacketParams, p, t: float):
     return out[()]
 
 
+def _gaussian_moments(params: PacketParams, t: float, order: int) -> Moments:
+    """Closed-form moments of _gaussian's packet of the given order: <x> = X(t)
+    and <p> = p0, with variances (order + 1/2)*beta_t**2 and (order + 1/2)/alpha**2."""
+    bt, k = params.beta_t(t), order + 0.5
+    return Moments(t, params.center(t), k * bt * bt, params.p0, k / params.alpha**2)
+
+
 def free_moments(params: PacketParams, t: float) -> Moments:
     """Closed-form moments of the free Gaussian at time t.
 
-    <x> = X(t), dx = beta_t/sqrt(2); <p> = p0, dp = 1/(alpha*sqrt(2)).
-    The uncertainty product is (hbar/2)*sqrt(1 + (t/t0)**2).
+    <x> = X(t) and <p> = p0, with variances beta_t**2/2 and 1/(2*alpha**2);
+    the uncertainty product is (hbar/2)*sqrt(1 + (t/t0)**2).
     """
-    x_mean = params.center(t)
-    bt = params.beta_t(t)
-    x_var = 0.5 * bt * bt
-    p_var = 0.5 / params.alpha**2
-    return Moments.from_raw(t, x_mean, x_mean * x_mean + x_var, params.p0, params.p0**2 + p_var)
+    return _gaussian_moments(params, t, 0)
 
 
 def autocorrelation_free(params: PacketParams, t: float):

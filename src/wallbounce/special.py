@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .packets import _SQRT_PI, Moments, PacketParams, _gaussian, phi_free
+from .packets import _SQRT_PI, Moments, PacketParams, _gaussian, _gaussian_moments, phi_free
 
 __all__ = [
     "SpecialParams",
@@ -86,17 +86,13 @@ def psi_node_packet(sp: PacketParams, x, t: float):
 
 
 def node_packet_moments(sp: PacketParams, t: float) -> Moments:
-    """Closed-form moments of the node packet.
+    """Closed-form moments of the node packet, order 1 of the free packet's.
 
-    <p> = p0 with constant dp = sqrt(3/2)/alpha; <x> = X(t) with
-    dx = sqrt(3/2)*beta_t, so dx*dp = (3*hbar/2)*sqrt(1 + (t/t0)**2),
-    three times the minimal Gaussian product.
+    <p> = p0 and <x> = X(t), with variances 3/(2*alpha**2) and 3*beta_t**2/2,
+    so dx*dp = (3*hbar/2)*sqrt(1 + (t/t0)**2), three times the minimal
+    Gaussian product.
     """
-    x_mean = sp.center(t)
-    bt = sp.beta_t(t)
-    x_var = 1.5 * bt * bt
-    p_var = 1.5 / sp.alpha**2
-    return Moments.from_raw(t, x_mean, x_mean * x_mean + x_var, sp.p0, sp.p0**2 + p_var)
+    return _gaussian_moments(sp, t, 1)
 
 
 def _require_zero_offset(sp: PacketParams):
@@ -124,20 +120,20 @@ def wall_packet_moments(sp: PacketParams, t: float) -> Moments:
     """Closed-form moments of the wall packet.
 
     <x> = -2*beta_t/sqrt(pi), <x^2> = 3*beta_t**2/2,
-    <p> = -(2*hbar/(beta*sqrt(pi))) * (t/t0)/sqrt(1 + (t/t0)**2),
-    <p^2> = 3*hbar**2/(2*beta**2) (conserved).  The momentum spread
-    decreases in time: the positive-momentum half of the distribution is
-    folded to negative values as it reflects off the wall.
+    <p> = -(2*hbar/(beta*sqrt(pi))) * s/sqrt(1 + s**2) with s = t/t0,
+    <p^2> = 3*hbar**2/(2*beta**2) (conserved); with c = 3/2 - 4/pi the
+    variances are c*beta_t**2 and (hbar/beta)**2 * (c + (4/pi)/(1 + s**2)).
+    The momentum spread decreases in time: the positive-momentum half of
+    the distribution is folded to negative values as it reflects off the wall.
     """
     _require_zero_offset(sp)
     s = t / sp.t0
     bt = sp.beta_t(t)
     hb = sp.hbar / sp.beta
-    x_mean = -2.0 * bt / _SQRT_PI
-    x2_mean = 1.5 * bt * bt
-    p_mean = -(2.0 * hb / _SQRT_PI) * s / math.sqrt(1.0 + s * s)
-    p2_mean = 1.5 * hb**2
-    return Moments.from_raw(t, x_mean, x2_mean, p_mean, p2_mean)
+    c = 1.5 - 4.0 / math.pi
+    p_mean = -(2.0 * hb / _SQRT_PI) * (s / math.hypot(1.0, s))
+    p_var = hb * hb * (c + (4.0 / math.pi) / (1.0 + s * s))
+    return Moments(t, -2.0 * bt / _SQRT_PI, c * bt * bt, p_mean, p_var)
 
 
 def wall_packet_force(sp: PacketParams, t: float) -> float:

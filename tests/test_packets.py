@@ -115,8 +115,46 @@ def test_free_moments_trivials():
 def test_moments_reject_inconsistent_values():
     from wallbounce import Moments
 
-    with pytest.raises(ValueError):
-        Moments.from_raw(0.0, x_mean=2.0, x2_mean=1.0, p_mean=0.0, p2_mean=1.0)
+    with pytest.raises(ValueError, match="t = 0.0"):
+        Moments(0.0, x_mean=2.0, x_var=-3.0, p_mean=0.0, p_var=1.0)
+
+
+def test_gaussian_spreads_hold_far_from_the_origin():
+    # the spreads come from the variances, not from <x^2> - <x>**2, so a mean
+    # 1e150 widths from the origin leaves them exact to a few ulps
+    from wallbounce import node_packet_moments
+
+    rng = np.random.default_rng(20261021)
+    for _ in range(400):
+        alpha, hbar, mass = (10.0 ** rng.uniform(-3.0, 3.0, size=3)).tolist()
+        # x0/beta and p0*alpha, each up to 1e150 in magnitude
+        x_off, p_off = (rng.choice([-1.0, 1.0], size=2) * 10.0 ** rng.uniform(0.0, 150.0, size=2)).tolist()
+        p = PacketParams(x_off * alpha * hbar, p_off / alpha, alpha, hbar, mass)
+        t = p.t0 * float(rng.uniform(-10.0, 10.0))
+        for moments, order in ((free_moments, 0), (node_packet_moments, 1)):
+            x_mean = p.center(t)
+            if not x_mean * x_mean < math.inf:  # its square overflows: refused, naming t
+                with pytest.raises(ValueError, match="t = "):
+                    moments(p, t)
+                continue
+            m = moments(p, t)
+            x_sd = math.sqrt(order + 0.5) * p.beta_t(t)
+            p_sd = math.sqrt(order + 0.5) / alpha
+            assert abs(m.x_sd - x_sd) <= 4.0 * math.ulp(x_sd), (p, t, order)
+            assert abs(m.p_sd - p_sd) <= 4.0 * math.ulp(p_sd), (p, t, order)
+            assert m.uncertainty_product() >= 0.5 * hbar, (p, t, order)
+
+
+def test_time_ratios_do_not_overflow():
+    # s = t/t0 is 2e300 and 1e155: s*s overflows, s/hypot(1, s) does not
+    from wallbounce import p_mean_at_collision, wall_packet_moments
+
+    scale = 1e150 / math.sqrt(math.pi)  # hbar/(beta*sqrt(pi)) at alpha = 1e-150
+    assert p_mean_at_collision(PacketParams(-10.0, 5.0, 1e-150)) == pytest.approx(-scale, rel=1e-15)
+    wall = PacketParams(0.0, 0.0, 1e-150)
+    m = wall_packet_moments(wall, 1e155 * wall.t0)
+    assert m.p_mean == pytest.approx(-2.0 * scale, rel=1e-15)
+    assert m.p_sd == pytest.approx(1e150 * math.sqrt(1.5 - 4.0 / math.pi), rel=1e-15)
 
 
 def test_closed_forms_at_huge_time_refuse_or_saturate():
