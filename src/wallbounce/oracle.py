@@ -5,24 +5,21 @@ States live on a uniform grid (by default the half-line [x_min, 0] with
 the wall as the last point); a GridState is finite by construction and
 keeps its peak |psi|^2, which the tail checks read.  window_grid sizes a
 grid to hold a packet over a time window, on the full line or, reflected
-packet included, on the half line.  Moments and overlaps are
-composite-Simpson quadratures, momentum moments use finite-difference
-derivatives with an internal convergence estimate, and time evolution is
-an unconditionally stable, exactly norm-preserving Cayley (implicit
-midpoint) step of the free Hamiltonian with hard walls.
+packet included, on the half line.
 
-A quadrature is formed from strided slice sums of its integrand, with
-Simpson's weights applied to the sums, so no weight array is built;
-|psi|^2 is re^2 + im^2, formed in the blocks of packets._blocks.
-Every sum is numpy's pairwise .sum(), never dot/vdot/einsum/matmul: a
-BLAS reduction rounds differently with the number of threads, which
-would make output bytes depend on the host's core count.
+Moments and overlaps are composite-Simpson quadratures (momentum moments
+of finite-difference derivatives, with an internal convergence estimate)
+whose integrands are formed in the block-sized rows of packets._blocks:
+only moment_x's density is as large as the grid.  Every sum is numpy's
+pairwise .sum(), never dot/vdot/einsum/matmul: a BLAS reduction rounds
+differently with the number of threads, which would make output bytes
+depend on the host's core count.
 
-Spatial derivatives inside the Cayley step use a 4th-order compact
-(Numerov-type) correction, which pushes the spatial phase error to
-O(h**4); the time error is the usual O(dt**2), which dominates on the
-grids used here.  A run of many steps is evaluated exactly in the
-type-I discrete sine basis, which diagonalises the step.
+Time evolution is an unconditionally stable, exactly norm-preserving Cayley
+(implicit midpoint) step of the free Hamiltonian with hard walls, with a
+4th-order compact (Numerov-type) spatial correction, so the O(dt**2) time
+error dominates on the grids used here.  A run of many steps is evaluated
+exactly in the type-I discrete sine basis, which diagonalises the step.
 """
 
 from __future__ import annotations
@@ -142,13 +139,14 @@ def sample(wavefn, grid: GridSpec, t: float) -> GridState:
     return GridState(grid, wavefn(grid.points(), t), t)
 
 
-def _simpson(f: np.ndarray, h: float):
-    """Int f dx by composite Simpson on spacing h.
+def _simpson_block(f: np.ndarray, first: float, total=0.0):
+    """total plus the Simpson-weighted sum of interior points f: first (4 or 2) on f[0::2], 6 - first on f[1::2]."""
+    return total + first * f[0::2].sum() + (6.0 - first) * f[1::2].sum()
 
-    (f[0] + f[-1] + 4*sum(f[1:-1:2]) + 2*sum(f[2:-1:2])) * h/3: the
-    weights scale pairwise slice sums, so no weight array is built.
-    """
-    return (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()) * (h / 3.0)
+
+def _simpson(f: np.ndarray, h: float):
+    """Int f dx by composite Simpson on spacing h: (f[0] + f[-1] + 4*odd + 2*even) * h/3."""
+    return _simpson_block(f[1:-1], 4.0, f[0] + f[-1]) * (h / 3.0)
 
 
 def _abs2(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -156,13 +154,6 @@ def _abs2(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     for (im2,), vb, ob in _blocks(1, v, out):
         np.square(vb.real, out=ob)
         ob += np.square(vb.imag, out=im2)
-    return out
-
-
-def _conj_times(v: np.ndarray, d: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """conj(v) * d into out, with no conj(v) array of its own."""
-    np.conjugate(v, out=out)
-    out *= d
     return out
 
 
@@ -227,13 +218,10 @@ def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -
     StencilConvergenceError is raised if that estimate exceeds
     rtol * scale.
 
-    One array holds the unscaled differences: first the 2nd-order
-    v[j+1] - v[j-1], whose sums are taken, then, in place, the 4th-order
-    8*(v[j+1] - v[j-1]) - (v[j+2] - v[j-2]).  The factors 1/(2h), 1/(12h)
-    and hbar multiply the Simpson sums, not the arrays, and every sum is
-    a pairwise numpy sum (no BLAS), so the result does not depend on the
-    host's thread count.  conj(psi) * psi' is formed in a work array,
-    with no copy of conj(psi).
+    The interior j in [2, n-2) goes through _blocks as five shifted views
+    of psi.  Per block, a complex row takes v[j+1] - v[j-1], then, in place,
+    8*(v[j+1] - v[j-1]) - (v[j+2] - v[j-2]); after each, a second row takes
+    conj(psi) * psi' or re^2 + im^2, whose Simpson sums are added.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
@@ -242,28 +230,33 @@ def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -
     _check_tails(state)
     v = state.values
     h = state.grid.h
-    # d = 2h * psi' to 2nd order, with 2nd-order one-sided ends
-    d = np.empty_like(v)
-    np.subtract(v[2:], v[:-2], out=d[1:-1])
-    d[0] = -3.0 * v[0] + 4.0 * v[1] - v[2]
-    d[-1] = 3.0 * v[-1] - 4.0 * v[-2] + v[-3]
-    work = np.empty_like(v)
-    abs2 = np.empty(v.size)
+    # Simpson sums of the 2nd-order integrand, Im(conj(psi) psi') and |psi'|^2 to 4th order; first the
+    # ends j = 0, 1 and, read backwards (psi' changes sign), n-1, n-2: weight, psi_j, 2h psi'_j, 12h psi'_j
+    sum2 = sum4 = sum4_abs2 = 0.0
+    for sign, (z0, z1, z2, z3, z4) in ((1.0, v[:5].tolist()), (-1.0, v[:-6:-1].tolist())):
+        for w, z, d2, d4 in [
+            (1.0, z0, -3.0 * z0 + 4.0 * z1 - z2, -25.0 * z0 + 48.0 * z1 - 36.0 * z2 + 16.0 * z3 - 3.0 * z4),
+            (4.0, z1, z2 - z0, -3.0 * z0 - 10.0 * z1 + 18.0 * z2 - 6.0 * z3 + z4),
+        ]:
+            sum2 += w * (sign * (z.conjugate() * d2).imag if order == 1 else d2.real * d2.real + d2.imag * d2.imag)
+            sum4 += w * sign * (z.conjugate() * d4).imag
+            sum4_abs2 += w * (d4.real * d4.real + d4.imag * d4.imag)
+    # _BLOCK is even, so every block starts at an even j, whose Simpson weight is 2
+    for rows, vj, vm1, vp1, vm2, vp2 in _blocks(4, v[2:-2], v[1:-3], v[3:-1], v[:-4], v[4:]):
+        d, work, (re2, im2) = rows[:2].reshape(-1).view(complex), rows[2:].reshape(-1).view(complex), rows[2:]
+        np.subtract(vp1, vm1, out=d)
+        if order == 1:
+            sum2 += _simpson_block(np.multiply(np.conjugate(vj, out=work), d, out=work).imag, 2.0)
+        else:
+            sum2 += _simpson_block(np.add(np.square(d.real, out=re2), np.square(d.imag, out=im2), out=re2), 2.0)
+        d *= 8.0
+        d -= np.subtract(vp2, vm2, out=work)
+        if order == 1:
+            sum4 += _simpson_block(np.multiply(np.conjugate(vj, out=work), d, out=work).imag, 2.0)
+        sum4_abs2 += _simpson_block(np.add(np.square(d.real, out=re2), np.square(d.imag, out=im2), out=re2), 2.0)
+    sum2, sum4, sum4_abs2 = (float(s) * (h / 3.0) for s in (sum2, sum4, sum4_abs2))
     if order == 1:
-        sum2 = float(_simpson(_conj_times(v, d, work).imag, h))
-    else:
-        sum2 = float(_simpson(_abs2(d, abs2), h))
-    # in place, d = 12h * psi' to 4th order, with 4th-order one-sided ends
-    inner = d[2:-2]
-    inner *= 8.0
-    inner -= np.subtract(v[4:], v[:-4], out=work[2:-2])
-    d[0] = -25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]
-    d[1] = -3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]
-    d[-2] = 3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]
-    d[-1] = 25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]
-    sum4_abs2 = float(_simpson(_abs2(d, abs2), h))
-    if order == 1:
-        m4 = hbar * float(_simpson(_conj_times(v, d, work).imag, h)) / (12.0 * h)
+        m4 = hbar * sum4 / (12.0 * h)
         m2 = hbar * sum2 / (2.0 * h)
         # momentum scale for near-zero means, from the same derivative data
         scale = max(abs(m4), hbar * math.sqrt(abs(sum4_abs2)) / (12.0 * h))
@@ -285,14 +278,20 @@ def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -
 
 
 def overlap(a: GridState, b: GridState) -> complex:
-    """Simpson quadrature of Int a* b dx; grids must be identical.  Raises
+    """Simpson quadrature of Int a* b dx; grids must be identical.  conj(a) * b
+    is formed in one complex row per block of the interior.  Raises
     TailCaptureError when either state is not negligible at the grid ends."""
     if a.grid != b.grid:
         raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
     _check_tails(a)
     _check_tails(b)
-    product = _conj_times(a.values, b.values, np.empty_like(a.values))
-    return complex(_simpson(product, a.grid.h))
+    u, v = a.values, b.values
+    (u0, u1), (v0, v1) = u[:: u.size - 1].tolist(), v[:: v.size - 1].tolist()
+    total = u0.conjugate() * v0 + u1.conjugate() * v1
+    for rows, ub, vb in _blocks(2, u[1:-1], v[1:-1]):
+        product = np.conjugate(ub, out=rows.reshape(-1).view(complex))
+        total += _simpson_block(np.multiply(product, vb, out=product), 4.0)
+    return complex(total * (a.grid.h / 3.0))
 
 
 def _dst1(v: np.ndarray) -> np.ndarray:

@@ -137,15 +137,16 @@ def wall_packet_moments(sp: PacketParams, t: float) -> Moments:
 
 
 def wall_packet_force(sp: PacketParams, t: float) -> float:
-    """Wall force d<p>/dt on the wall packet:
-    -(2/(alpha*sqrt(pi)*t0)) * (1 + (t/t0)**2)**(-3/2).
-
-    Always negative, with magnitude decreasing monotonically from the
-    initial value of order dp0/t0.
-    """
+    """Wall force d<p>/dt = -(2/(alpha*sqrt(pi)*t0)) * (1 + (t/t0)**2)**(-3/2) on
+    the wall packet: always negative, with magnitude decreasing monotonically
+    from the initial value of order dp0/t0.  A force that is not finite raises
+    ValueError."""
     _require_zero_offset(sp)
     s = t / sp.t0
-    return -(2.0 / (sp.alpha * _SQRT_PI * sp.t0)) * (1.0 + s * s) ** -1.5
+    force = -(2.0 / (sp.alpha * _SQRT_PI)) / sp.t0 * (1.0 + s * s) ** -1.5  # alpha*t0 may underflow
+    if not math.isfinite(force):
+        raise ValueError(f"the wall force at t = {t!r} is not a finite float ({force}); rescale alpha")
+    return force
 
 
 def wall_packet_uncertainty(sp: PacketParams, t: float) -> float:

@@ -330,5 +330,5 @@ def run_all(criteria: list[str] | None = None, progress=None) -> list[CriterionR
             passed, detail, measured = check()
         except Exception as exc:  # surfaced as a failed criterion, not a crash
             passed, detail, measured = False, f"{type(exc).__name__}: {exc}", {}
-        results.append(CriterionResult(cid, description, passed, detail, measured))
+        results.append(CriterionResult(cid, description, bool(passed), detail, measured))  # not np.bool_
     return results

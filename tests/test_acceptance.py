@@ -22,6 +22,12 @@ def test_report_lists_each_criterion_exactly_once():
     assert len(CRITERION_IDS) == len(set(CRITERION_IDS)) == 11
 
 
+def test_results_serialize_as_json(results):
+    # a numpy bool from a check would make json.dump fail for every gate
+    assert all(type(r.passed) is bool for r in results.values())
+    json.dumps([(r.passed, r.measured) for r in results.values()])
+
+
 @pytest.mark.parametrize("cid", CRITERION_IDS)
 def test_criterion(results, cid):
     r = results[cid]

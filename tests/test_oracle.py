@@ -539,8 +539,9 @@ def ref_overlap(a, b):
     return complex(np.sum(w * np.conj(a.values) * b.values))
 
 
-#: 2 * _BLOCK + 1 ends in a block of one point
-KERNEL_SIZES = [3, 5, 7, 9, 101, 40001, 2 * _BLOCK + 1]
+#: block edges: moment_p blocks its n - 4 interior points and overlap its
+#: n - 2, so a last block holds 1 or 3 points, or is 1 or 3 short of full
+KERNEL_SIZES = [3, 5, 7, 9, 101, 40001, 2 * _BLOCK + 1, _BLOCK + 3, _BLOCK + 5, 2 * _BLOCK + 3, 2 * _BLOCK + 5]
 
 #: envelopes on u = (x - x_min)/(x_max - x_min): zero at both ends, or
 #: open at one end so that the tail check must refuse the state
@@ -658,10 +659,10 @@ def test_tail_checks_make_no_pass(monkeypatch):
     blocks = oracle._blocks
     monkeypatch.setattr(oracle, "_blocks", lambda *args: calls.append(args[0]) or blocks(*args))
     for name, call, passes in [
-        ("overlap", lambda: overlap(a, b), 0),
+        ("overlap", lambda: overlap(a, b), 1),  # conj(a) * b
         ("moment_x", lambda: moment_x(a, 1), 1),  # the density
-        ("moment_p 1", lambda: moment_p(a, 1, hbar=1.0, rtol=1e3), 1),  # |psi'|^2, 4th order
-        ("moment_p 2", lambda: moment_p(a, 2, hbar=1.0, rtol=1e3), 2),  # and 2nd order
+        ("moment_p 1", lambda: moment_p(a, 1, hbar=1.0, rtol=1e3), 1),  # both stencils' sums
+        ("moment_p 2", lambda: moment_p(a, 2, hbar=1.0, rtol=1e3), 1),
         ("propagate", lambda: propagate(a, 1e-3, 10, hbar=1.0, mass=1.0), 1),  # its result
     ]:
         calls.clear()
@@ -692,13 +693,15 @@ def _traced_peak(fn, *args, **kwargs):
 
 def test_moments_allocate_no_extra_squared_modulus():
     # |psi|^2 is formed as re^2 + im^2 through a block-sized im^2 row: the
-    # density (8 bytes a point) is moment_x's only grid-sized array, and
-    # moment_p's are its two difference arrays and the |psi'|^2 row (40)
+    # density (8 bytes a point) is moment_x's only grid-sized array; moment_p
+    # and overlap hold their differences and products in block-sized rows
     grid = GridSpec(-30.0, 600_001, 30.0)
     state = sample(lambda x, t: psi_free(PP, x, t), grid, 0.0)
     n = grid.n_points
     assert _traced_peak(moment_x, state, 0) <= 1.25 * 8 * n
-    assert _traced_peak(moment_p, state, 2, hbar=1.0) <= 5.25 * 8 * n
+    assert _traced_peak(moment_p, state, 1, hbar=1.0) <= 0.25 * 8 * n
+    assert _traced_peak(moment_p, state, 2, hbar=1.0) <= 0.25 * 8 * n
+    assert _traced_peak(overlap, state, state) <= 0.25 * 8 * n
 
 
 def test_cli_bytes_do_not_depend_on_blas_threads():

@@ -222,6 +222,13 @@ def test_wall_force_negative_and_shrinking():
     assert all(a > b for a, b in zip(mags, mags[1:]))
 
 
+def test_wall_force_at_tiny_alpha():
+    # alpha * t0 underflows to 0 at alpha = 1e-110 (the force is -1.13e330)
+    assert wall_packet_force(PacketParams(0.0, 0.0, 1e-100), 0.0) == -1.1283791670955128e300
+    with pytest.raises(ValueError, match="t = 0.0"):
+        wall_packet_force(PacketParams(0.0, 0.0, 1e-110), 0.0)
+
+
 def test_wall_uncertainty_coefficients():
     u0 = wall_packet_uncertainty(SP, 0.0)
     assert u0 == pytest.approx(0.5 * math.sqrt(3.0 * (3.0 * math.pi - 8.0) / math.pi), rel=1e-14)

@@ -1,7 +1,9 @@
 """Validation-runner machinery (criterion selection, error capture)."""
 
+import numpy as np
 import pytest
 
+from wallbounce import validation
 from wallbounce.validation import CRITERION_IDS, run_all
 
 
@@ -29,3 +31,10 @@ def test_check_error_is_captured_not_raised(failing_c02):
     assert len(results) == 1
     assert not results[0].passed
     assert "TailCaptureError" in results[0].detail
+
+
+def test_passed_is_stored_as_a_python_bool(monkeypatch):
+    criteria = [(cid, d, lambda: (np.bool_(True), "numpy bool", {})) for cid, d, _ in validation._CRITERIA]
+    monkeypatch.setattr(validation, "_CRITERIA", criteria)
+    (result,) = run_all(criteria=["C01"])
+    assert type(result.passed) is bool and result.passed
