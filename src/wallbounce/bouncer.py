@@ -186,15 +186,12 @@ def position_second_moment(params: PacketParams, t: float) -> float:
 
 
 def momentum_second_moment(params: PacketParams) -> float:
-    """Exact, time-independent <p^2>: free value p0**2 + hbar**2/(2*beta**2)
-    plus (hbar/beta)**2 * overlap_correction(distance).
+    """Exact, time-independent <p^2> = p0**2 + (1/2 + overlap_correction(distance))/alpha**2.
 
-    Conserved because the Hamiltonian on the half-line is
-    time-independent.
+    Conserved because the Hamiltonian on the half-line is time-independent;
+    formed from the free value's own terms, so that it is never below it.
     """
-    hb2 = (params.hbar / params.beta) ** 2
-    free = params.p0**2 + 0.5 * hb2
-    return free + hb2 * overlap_correction(phase_space_distance(params))
+    return params.p0 * params.p0 + (0.5 + overlap_correction(phase_space_distance(params))) / params.alpha**2
 
 
 def energy_shift(params: PacketParams) -> float:
@@ -289,5 +286,6 @@ def autocorrelation_bouncer(params: PacketParams, t: float) -> complex:
     if z == math.inf:
         return autocorrelation_free(params, t)
     u = 1.0 + 0.5j * t / params.t0
-    factor = np.expm1(-z / u) / math.expm1(-z) if z >= np.finfo(float).tiny else 1.0 / u
-    return complex(autocorrelation_free(params, t) * factor)
+    # each part of the numerator over the real denominator, so that the factor is exactly 1 at t = 0
+    w, d = (np.expm1(-z / u), math.expm1(-z)) if z >= np.finfo(float).tiny else (1.0 / u, 1.0)
+    return autocorrelation_free(params, t) * complex(w.real / d, w.imag / d)

@@ -183,8 +183,8 @@ _OPTIONS = {
     "tmin": (_PHYSICS, dict(type=float, default=0.0, help="first time (default 0)")),
     "tmax": (_PHYSICS, dict(type=float, help="last time (default: twice the collision time)")),
     "nt": (_PHYSICS, dict(type=int, help="number of time samples")),
-    "xmin": (_PHYSICS, dict(type=float, help="grid left edge override")),
-    "nx": (_PHYSICS, dict(type=int, help="grid point count override (odd)")),
+    "xmin": (("density",), dict(type=float, help="grid left edge override")),
+    "nx": (("density",), dict(type=int, help="grid point count override (odd)")),
     "format": (_ALL, dict(choices=("csv", "json"), default="csv", help="output format (default csv)")),
     "out": (_ALL, dict(default="-", help="output path, '-' for stdout (default)")),
     "config": (_ALL, dict(help="key=value config file; flags override it")),
@@ -245,7 +245,8 @@ def _resolve(args) -> RunConfig:
                 raise CliError(f"unknown criteria: {', '.join(sorted(unknown))}")
         return RunConfig(*common, criteria=criteria)
 
-    if (args.xmin is None) != (args.nx is None):
+    xmin, nx = getattr(args, "xmin", None), getattr(args, "nx", None)  # only density takes a grid
+    if (xmin is None) != (nx is None):
         raise CliError("--xmin and --nx must be given together")
     kind = _KINDS[args.kind]
     x0 = kind.default[0] if args.x0 is None else args.x0
@@ -279,7 +280,7 @@ def _resolve(args) -> RunConfig:
     # bounded before linspace allocates the nt times
     if not 1 <= nt <= MAX_GRID_POINTS:
         raise CliError(f"nt must be between 1 and {MAX_GRID_POINTS}, got {nt}")
-    return RunConfig(*common, args.xmin, args.nx, args.kind, params, tmin, tmax, nt)
+    return RunConfig(*common, xmin, nx, args.kind, params, tmin, tmax, nt)
 
 
 def _wavefunction(cfg: RunConfig):
@@ -304,7 +305,8 @@ def _grid(
             points_per_beta=points_per_beta,
         )
     except ValueError as exc:
-        raise CliError(f"invalid grid: {exc}; choose one with --xmin and an odd --nx") from exc
+        hint = "; choose one with --xmin and an odd --nx" if cfg.command == "density" else ""
+        raise CliError(f"invalid grid: {exc}{hint}") from exc
 
 
 def _times(cfg: RunConfig) -> list[float]:

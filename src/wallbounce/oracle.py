@@ -168,7 +168,7 @@ def _check_tails(state: GridState) -> None:
     """
     v = state.values
     if 1e-200 < state.peak2 < math.inf:
-        sizes = [z.real * z.real + z.imag * z.imag for z in (v[0], v[-1])]
+        sizes = [z.real * z.real + z.imag * z.imag for z in v[:: v.size - 1].tolist()]
         limit = TAIL_RTOL**2 * state.peak2
     else:
         # the squares overflow or come near underflow: compare moduli

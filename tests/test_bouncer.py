@@ -287,6 +287,23 @@ def test_energy_shift_equals_exact_p2_ratio():
         assert energy_shift(bp) == pytest.approx(ratio, rel=1e-12)
 
 
+def test_exact_identities_hold_exactly():
+    # alpha, hbar, mass, -x0 and p0 log-uniform over 1e-3 to 1e3; t = 0 in half
+    # the draws and |t|/t0 log-uniform over 1e-3 to 1e3 in the rest.  No
+    # tolerance: the wall never lowers <p^2>, A(0) is 1 and |A| is at most 1.
+    # (Below about 1e-7 t0 the rounding of A_bouncer's parts can still put |A|
+    # an ulp above 1, so that range is not drawn yet.)
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        alpha, hbar, mass, distance, p0 = (10.0 ** rng.uniform(-3.0, 3.0, 5)).tolist()
+        p = PacketParams(-distance, p0, alpha, hbar, mass)
+        t = 0.0 if rng.random() < 0.5 else float(rng.choice([-1.0, 1.0]) * p.t0 * 10.0 ** rng.uniform(-3.0, 3.0))
+        assert momentum_second_moment(p) >= free_moments(p, t).p2_mean, p
+        assert autocorrelation_free(p, 0.0) == autocorrelation_bouncer(p, 0.0) == 1.0, p
+        assert abs(autocorrelation_free(p, t)) <= 1.0 and abs(autocorrelation_bouncer(p, t)) <= 1.0, (p, t)
+        assert energy_shift(p) >= 0.0, p
+
+
 # ------------------------------------------------- near-collision expansions
 
 
@@ -394,6 +411,7 @@ def test_autocorrelation_bouncer_limits():
     # an infinite distance: the free autocorrelation itself
     far = PacketParams(x0=-10.0, p0=1e60, alpha=1e100, hbar=1e-100)
     assert phase_space_distance(far) == math.inf
+    assert autocorrelation_bouncer(far, 0.0) == 1.0
     for t in (0.0, 0.3 * far.t0, -2.0 * far.t0):
         assert autocorrelation_bouncer(far, t) == autocorrelation_free(far, t)
     # a subnormal distance: the factor's z -> 0 limit 1/(1 + i*t/2t0)

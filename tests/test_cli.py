@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wallbounce import cli
 from wallbounce.cli import main
+from wallbounce.oracle import GridSpec
 
 REFERENCE = Path(__file__).parent / "reference"
 
@@ -170,7 +172,7 @@ def test_autocorr_of_the_reflected_packet(tmp_path):
 def test_identical_config_gives_identical_bytes(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    argv = ["moments", "--nt", "5", "--tmax", "3", "--xmin", "-70", "--nx", "20001"]
+    argv = ["moments", "--nt", "5", "--tmax", "3"]
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -261,9 +263,12 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
         ["validate", "--criteria", ","],
         ["validate", "--criteria", " , "],
         ["validate", "--criteria", ""],
-        # validate's gates run on their own grids
+        # validate's gates, moments and autocorr run on grids the library sizes
         ["validate", "--xmin", "-50", "--nx", "100000001"],
         ["validate", "--xmin", "-50", "--nx", "1000"],
+        ["moments", "--xmin", "-20", "--nx", "401"],
+        ["autocorr", "--xmin", "-20", "--nx", "401"],
+        ["moments", "--nx", "401"],
         # rejected by the parser itself
         ["moments", "--nt", "abc"],
         ["moments", "--format", "xml"],
@@ -286,16 +291,16 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
         # p0**2 overflows
         ["density", "--kind", "free", "--p0", "1e155", "--xmin", "-20", "--nx", "401", "--nt", "1"],
         ["density", "--kind", "bouncer", "--p0", "1e155", "--xmin", "-20", "--nx", "401", "--nt", "1"],
-        ["moments", "--kind", "free", "--p0", "-1e155", "--xmin", "-20", "--nx", "401", "--nt", "1"],
-        ["autocorr", "--kind", "bouncer", "--p0", "1e155", "--xmin", "-20", "--nx", "401", "--nt", "1"],
-        # beta_t**2, X(t)**2 or the phase overflows inside the window, on a grid given by hand
+        ["moments", "--kind", "free", "--p0", "-1e155", "--nt", "1"],
+        ["autocorr", "--kind", "bouncer", "--p0", "1e155", "--nt", "1"],
+        # beta_t**2, X(t)**2 or the phase overflows inside the window, on any grid
         ["density", "--kind", "bouncer", "--tmin", "1e200", "--tmax", "1e200", "--xmin", "-20", "--nx", "401", "--nt", "1"],
         ["density", "--kind", "free", "--tmax", "1e200", "--xmin", "-20", "--nx", "401", "--nt", "2"],
-        ["moments", "--kind", "free", "--tmin", "1e200", "--tmax", "1e200", "--xmin", "-20", "--nx", "401", "--nt", "1"],
-        ["autocorr", "--kind", "bouncer", "--tmin", "1e200", "--tmax", "1e200", "--xmin", "-20", "--nx", "401", "--nt", "1"],
+        ["moments", "--kind", "free", "--tmin", "1e200", "--tmax", "1e200", "--nt", "1"],
+        ["autocorr", "--kind", "bouncer", "--tmin", "1e200", "--tmax", "1e200", "--nt", "1"],
         ["density", "--kind", "wall", "--tmax", "1e300", "--xmin", "-20", "--nx", "401", "--nt", "2"],
-        ["moments", "--kind", "wall", "--tmin", "1.3e154", "--tmax", "1.3e154", "--xmin", "-20", "--nx", "401", "--nt", "1"],
-        ["moments", "--kind", "bouncer", "--p0", "1e100", "--tmax", "1e100", "--xmin", "-20", "--nx", "401", "--nt", "2"],
+        ["moments", "--kind", "wall", "--tmin", "1.3e154", "--tmax", "1.3e154", "--nt", "1"],
+        ["moments", "--kind", "bouncer", "--p0", "1e100", "--tmax", "1e100", "--nt", "2"],
         # <p^2> overflows: alpha**2 is subnormal, 1/alpha**2 finite in the second
         ["moments", "--kind", "free", "--alpha", "1e-160", "--hbar", "1e160", "--mass", "1e10", "--nt", "2"],
         ["moments", "--kind", "free-node", "--alpha", "8.16e-155", "--hbar", "1e154", "--nt", "2"],
@@ -384,15 +389,17 @@ def test_validate_text_columns_have_no_units(tmp_path):
         ["density", "--tmax", "1e4"],  # the automatic grid would take 7.7e6 points
         ["moments", "--tmax", "1e4"],  # 2.0e8 points
         ["density", "--xmin", "-50", "--nx", "100000001"],
-        ["moments", "--xmin", "-50", "--nx", "100000001"],
-        ["autocorr", "--xmin", "-50", "--nx", "1000"],  # even
+        ["moments", "--tmax", "147"],  # 4.22e6 points, just over the budget
+        ["autocorr", "--tmax", "1e4"],
+        ["density", "--xmin", "-50", "--nx", "1000"],  # even
     ],
 )
 def test_bad_grid_exits_two(tmp_path, capsys, argv):
     assert run_cli(tmp_path, *argv)[0] == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid grid") and err.count("\n") == 1
-    assert "--xmin" in err and "--nx" in err
+    # only density takes a grid, so only its refusal suggests one
+    assert ("--xmin" in err and "--nx" in err) == (argv[0] == "density"), err
 
 
 def test_validate_subset_passes(tmp_path):
@@ -415,23 +422,37 @@ def test_validate_failed_gate_still_writes_its_report(tmp_path, failing_c02):
     assert "TailCaptureError" in rows[0]["detail"]
 
 
+def _narrow_grid(monkeypatch, x_min, n_points):
+    """Make window_grid give [x_min, 0] on the half line and [x_min, -x_min]
+    on the full line, too narrow for the default packets: a run on it must
+    end in a numerical failure (exit 1)."""
+
+    def narrow(params, t_min, t_max, *, half_line, **_):
+        return GridSpec(x_min, n_points, 0.0 if half_line else -x_min)
+
+    monkeypatch.setattr(cli, "window_grid", narrow)
+
+
+#: failing runs and their exit codes; each exit-1 run is made on a narrow grid
 FAILING_RUNS = [
     (["density", "--tmax", "1e4"], 2),  # grid over budget
-    # the user's grid cuts the packet: a numerical failure
-    (["moments", "--kind", "bouncer", "--xmin", "-20", "--nx", "4001"], 1),
-    # the grid cuts the packet: the overlap refuses it
-    (["autocorr", "--kind", "free", "--xmin", "-3", "--nx", "101", "--nt", "3"], 1),
+    (["moments", "--kind", "bouncer"], 1),  # the grid cuts the packet: a numerical failure
+    (["autocorr", "--kind", "free", "--nt", "3"], 1),  # the overlap refuses the grid
 ]
 
 
 @pytest.mark.parametrize("argv,code", FAILING_RUNS)
-def test_failed_run_leaves_no_file(tmp_path, argv, code):
+def test_failed_run_leaves_no_file(tmp_path, monkeypatch, argv, code):
+    if code == 1:
+        _narrow_grid(monkeypatch, -3.0, 101)
     assert run_cli(tmp_path, *argv)[0] == code
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv,code", FAILING_RUNS)
-def test_failed_run_keeps_existing_file(tmp_path, argv, code):
+def test_failed_run_keeps_existing_file(tmp_path, monkeypatch, argv, code):
+    if code == 1:
+        _narrow_grid(monkeypatch, -3.0, 101)
     out = tmp_path / "out.dat"
     out.write_bytes(b"earlier output\r\n")
     assert run_cli(tmp_path, *argv)[0] == code
@@ -520,19 +541,11 @@ def test_every_kind_matches_its_closed_forms(tmp_path, command, kind):
             assert complex(float(row["re_exact"]), float(row["im_exact"])) == a
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # (alpha*p0)**2 overflows where p0**2*t/(mass*hbar) does not
-        ["--kind", "free", "--x0=-0.005", "--p0", "1.5e129", "--alpha", "3.7e46", "--hbar", "5.3e-79",
-         "--mass", "8.5e-157"],
-        # the phase-space distance is infinite, or subnormal
-        ["--kind", "bouncer", "--x0", "-10", "--p0", "1e60", "--alpha", "1e100", "--hbar", "1e-100"],
-        ["--kind", "bouncer", "--x0=-1e-176", "--p0=-3.2e-160", "--alpha", "361.8", "--hbar", "0.0025"],
-    ],
-)
-def test_autocorr_exact_columns_at_extreme_scales(tmp_path, argv):
-    code, out = run_cli(tmp_path, "autocorr", *argv, "--tmax", "0", "--nt", "1", "--xmin", "-20", "--nx", "401")
+def test_autocorr_exact_columns_at_a_subnormal_distance(tmp_path):
+    # the library tests take the infinite distance and (alpha*p0)**2 overflowing,
+    # whose packets no automatic grid can hold
+    argv = ["--kind", "bouncer", "--x0=-1e-176", "--p0=-3.2e-160", "--alpha", "361.8", "--hbar", "0.0025"]
+    code, out = run_cli(tmp_path, "autocorr", *argv, "--tmax", "0", "--nt", "1")
     assert code == 0
     (row,) = read_csv(out)[1]
     assert [float(row[k]) for k in ("re_exact", "im_exact", "abs2_exact")] == [1.0, 0.0, 1.0]
@@ -565,7 +578,8 @@ BAD_VALUES = [
 
 def _sweep_requests(n=40, seed=20261018):
     """Seeded budget-sized CLI requests: every command and kind, custom units,
-    time windows on both sides of t = 0, and about a third with a bad value."""
+    time windows on both sides of t = 0, and about a third with a bad value.
+    Each comes with True where it is to run on a grid that cuts the packet."""
     rng = np.random.default_rng(seed)
     kinds = ["free", "free-node", "bouncer", "wall"]
     for command in rng.permutation(np.repeat(["density", "moments", "autocorr", "validate"], n // 4)):
@@ -575,7 +589,7 @@ def _sweep_requests(n=40, seed=20261018):
             argv = ["validate", "--criteria", ",".join(ids)]
             if rng.random() < 0.2:  # the gates take no grid: a bad argument
                 argv = ["validate", "--criteria", "C02", "--xmin", "-20", "--nx", "4001"]
-            yield argv
+            yield argv, False
             continue
         kind = kinds[rng.integers(4)]
         argv = [command, "--kind", kind]
@@ -587,23 +601,27 @@ def _sweep_requests(n=40, seed=20261018):
         tmin = rng.uniform(-1.0, 1.0) if rng.random() < 0.5 else 0.0
         argv += ["--tmin", f"{tmin:.3f}", "--tmax", f"{tmin + rng.uniform(0.0, 3.0):.3f}"]
         argv += ["--nt", str(rng.integers(1, 4)), "--format", ["csv", "json"][rng.integers(2)]]
+        cut = False
         if rng.random() < 0.35:
             bad, _ = BAD_VALUES[rng.integers(len(BAD_VALUES))]
             argv += bad
         elif command == "moments" and rng.random() < 0.4:
-            argv += ["--xmin", "-2", "--nx", "1001"]  # cuts the packet: a numerical failure
-        yield argv
+            cut = True  # a numerical failure
+        yield argv, cut
 
 
-def test_exit_code_sweep(tmp_path, capsys):
+def test_exit_code_sweep(tmp_path, monkeypatch, capsys):
     # every request exits 0, 1 or 2 without raising; a failure says why in
     # one stderr line (besides validate's "running ..." progress lines)
     # and leaves no output file unless it is a validate report
     out = tmp_path / "out.dat"
     codes = []
-    for argv in _sweep_requests():
+    for argv, cut in _sweep_requests():
         try:
-            code = main(argv + ["--out", str(out)])
+            with monkeypatch.context() as patch:
+                if cut:
+                    _narrow_grid(patch, -2.0, 1001)
+                code = main(argv + ["--out", str(out)])
         except BaseException as exc:  # SystemExit included
             pytest.fail(f"{argv} raised {exc!r}")
         err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("running C")]

@@ -256,6 +256,11 @@ def test_principal_branch_continuity_in_time():
 
 def test_autocorrelation_trivials():
     assert autocorrelation_free(PP, 0.0) == 1.0 + 0.0j
+    # (alpha*p0)**2 overflows where p0**2*t/(mass*hbar) does not
+    extreme = PacketParams(-0.005, 1.5e129, 3.7e46, 5.3e-79, 8.5e-157)
+    assert autocorrelation_free(extreme, 0.0) == 1.0 + 0.0j
+    m = free_moments(extreme, 0.0)
+    assert math.isfinite(m.x2_mean) and math.isfinite(m.p2_mean)
     p_rest = PacketParams(x0=-3.0, p0=0.0, alpha=1.0)
     a = autocorrelation_free(p_rest, 2.0 * p_rest.t0)
     assert abs(abs(a) ** 2 - 1.0 / math.sqrt(2.0)) < 1e-14
