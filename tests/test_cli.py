@@ -424,8 +424,9 @@ def test_validate_failed_gate_still_writes_its_report(tmp_path, failing_c02):
 
 def _narrow_grid(monkeypatch, x_min, n_points):
     """Make window_grid give [x_min, 0] on the half line and [x_min, -x_min]
-    on the full line, too narrow for the default packets: a run on it must
-    end in a numerical failure (exit 1)."""
+    on the full line, with n_points points; [-3, 0] or [-3, 3] is too narrow
+    for the default packets, so a run on it must end in a numerical failure
+    (exit 1)."""
 
     def narrow(params, t_min, t_max, *, half_line, **_):
         return GridSpec(x_min, n_points, 0.0 if half_line else -x_min)
@@ -541,9 +542,29 @@ def test_every_kind_matches_its_closed_forms(tmp_path, command, kind):
             assert complex(float(row["re_exact"]), float(row["im_exact"])) == a
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # (alpha*p0)**2 overflows where p0**2*t/(mass*hbar) does not
+        ["--kind", "free", "--x0=-0.005", "--p0", "1.5e129", "--alpha", "3.7e46", "--hbar", "5.3e-79",
+         "--mass", "8.5e-157"],
+        # the phase-space distance is infinite, or subnormal
+        ["--kind", "bouncer", "--x0", "-10", "--p0", "1e60", "--alpha", "1e100", "--hbar", "1e-100"],
+        ["--kind", "bouncer", "--x0=-1e-176", "--p0=-3.2e-160", "--alpha", "361.8", "--hbar", "0.0025"],
+    ],
+)
+def test_autocorr_exact_columns_at_extreme_scales(tmp_path, monkeypatch, argv):
+    # no automatic grid holds the first two packets, so every case runs on a
+    # fixed 401-point grid from x = -20
+    _narrow_grid(monkeypatch, -20.0, 401)
+    code, out = run_cli(tmp_path, "autocorr", *argv, "--tmax", "0", "--nt", "1")
+    assert code == 0
+    (row,) = read_csv(out)[1]
+    assert [float(row[k]) for k in ("re_exact", "im_exact", "abs2_exact")] == [1.0, 0.0, 1.0]
+
+
 def test_autocorr_exact_columns_at_a_subnormal_distance(tmp_path):
-    # the library tests take the infinite distance and (alpha*p0)**2 overflowing,
-    # whose packets no automatic grid can hold
+    # the one packet of the extreme-scale cases that an automatic grid holds
     argv = ["--kind", "bouncer", "--x0=-1e-176", "--p0=-3.2e-160", "--alpha", "361.8", "--hbar", "0.0025"]
     code, out = run_cli(tmp_path, "autocorr", *argv, "--tmax", "0", "--nt", "1")
     assert code == 0
