@@ -9,11 +9,10 @@ packet included, on the half line.
 
 Moments and overlaps are composite-Simpson quadratures (momentum moments
 of finite-difference derivatives, with an internal convergence estimate)
-whose integrands are formed in the block-sized rows of packets._blocks:
-only moment_x's density is as large as the grid.  Every sum is numpy's
+whose integrands are formed in the block-sized rows of packets._blocks;
+only moment_x's x grid (order >= 1) is grid-sized.  Every sum is numpy's
 pairwise .sum(), never dot/vdot/einsum/matmul: a BLAS reduction rounds
-differently with the number of threads, which would make output bytes
-depend on the host's core count.
+differently with the thread count, making output bytes depend on the host.
 
 Time evolution is an unconditionally stable, exactly norm-preserving Cayley
 (implicit midpoint) step of the free Hamiltonian with hard walls, with a
@@ -144,19 +143,6 @@ def _simpson_block(f: np.ndarray, first: float, total=0.0):
     return total + first * f[0::2].sum() + (6.0 - first) * f[1::2].sum()
 
 
-def _simpson(f: np.ndarray, h: float):
-    """Int f dx by composite Simpson on spacing h: (f[0] + f[-1] + 4*odd + 2*even) * h/3."""
-    return _simpson_block(f[1:-1], 4.0, f[0] + f[-1]) * (h / 3.0)
-
-
-def _abs2(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|v|^2 into out as re^2 + im^2, with im^2 in a block-sized row."""
-    for (im2,), vb, ob in _blocks(1, v, out):
-        np.square(vb.real, out=ob)
-        ob += np.square(vb.imag, out=im2)
-    return out
-
-
 def _check_tails(state: GridState) -> None:
     """Raise TailCaptureError unless the state is negligible at both ends.
 
@@ -194,16 +180,22 @@ def moment_x(state: GridState, order: int) -> float:
 
     order 0 is the norm, orders 1 and 2 give <x> and <x^2>.  Raises
     TailCaptureError when the state is not negligible at the grid ends.
+    Per block of the interior one row holds re^2 + im^2, times x order times;
+    the two ends repeat * as well, since x**order can raise OverflowError.
     """
     if order < 0 or int(order) != order:
         raise ValueError(f"order must be a nonnegative integer, got {order!r}")
     _check_tails(state)
-    density = _abs2(state.values, np.empty(state.grid.n_points))
-    if order:
-        x = state.grid.points()
-        for _ in range(int(order)):
-            density *= x
-    return float(_simpson(density, state.grid.h))
+    total, order, v, grid = 0.0, int(order), state.values, state.grid
+    for z, x in zip(v[:: v.size - 1].tolist(), (grid.x_min, grid.x_max)):
+        total += math.prod([x] * order, start=z.real * z.real + z.imag * z.imag)
+    interior = (v[1:-1], grid.points()[1:-1]) if order else (v[1:-1],)
+    for (re2, im2), vb, *xb in _blocks(2, *interior):
+        np.add(np.square(vb.real, out=re2), np.square(vb.imag, out=im2), out=re2)
+        for xs in xb * order:
+            re2 *= xs
+        total = _simpson_block(re2, 4.0, total)
+    return float(total * (grid.h / 3.0))
 
 
 def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -> float:
@@ -384,6 +376,8 @@ def window_grid(
         x_lo, x_hi = min(params.x0, *(-abs(c) for c in centers)) - pad * bt, 0.0
     else:
         x_lo, x_hi = min(centers) - pad * bt, max(centers) + pad * bt
+    if x_lo >= x_hi:  # pad * beta_t is lost in rounding: the window has no width
+        raise ValueError(f"beta_t = {bt:.3g} is below the spacing of doubles at x = {x_hi:.6g}; rescale x0 or alpha")
     n = (x_hi - x_lo) / _resolved_spacing(params, points_per_beta, mirrored=half_line) + 1.0
     if not n <= MAX_GRID_POINTS:  # checked before int(), which raises on inf and nan
         raise ValueError(f"the window needs {n:.3g} points, more than the budget of {MAX_GRID_POINTS}")

@@ -18,7 +18,7 @@ numpy vectorizes the real tan and exp; its complex exp, and its sin and
 cos at large arguments, run point by point in libm at 10 to 40 times the
 cost.  The same kernel (_gaussian) with other constants gives the node
 and wall packets of :mod:`wallbounce.special`.  Every array kernel, the
-bouncer's mirror factor and the oracle's |psi|^2 included, runs through
+bouncer's mirror factor and the oracle's quadratures included, runs through
 _blocks: _BLOCK points at a time, in scratch rows that stay in cache and
 are allocated once per call.
 """

@@ -392,6 +392,9 @@ def test_validate_text_columns_have_no_units(tmp_path):
         ["moments", "--tmax", "147"],  # 4.22e6 points, just over the budget
         ["autocorr", "--tmax", "1e4"],
         ["density", "--xmin", "-50", "--nx", "1000"],  # even
+        # pad * beta_t is below the spacing of doubles at x0: the window has no width
+        ["autocorr", "--kind", "free", "--x0=-0.005", "--p0", "1.5e129", "--alpha", "3.7e46",
+         "--hbar", "5.3e-79", "--mass", "8.5e-157", "--tmax", "0", "--nt", "1"],
     ],
 )
 def test_bad_grid_exits_two(tmp_path, capsys, argv):
@@ -400,6 +403,8 @@ def test_bad_grid_exits_two(tmp_path, capsys, argv):
     assert err.startswith("error: invalid grid") and err.count("\n") == 1
     # only density takes a grid, so only its refusal suggests one
     assert ("--xmin" in err and "--nx" in err) == (argv[0] == "density"), err
+    # a window with no width names the packet width that rounding lost
+    assert ("beta_t = 1.96e-32" in err) == ("--alpha" in argv), err
 
 
 def test_validate_subset_passes(tmp_path):

@@ -539,8 +539,9 @@ def ref_overlap(a, b):
     return complex(np.sum(w * np.conj(a.values) * b.values))
 
 
-#: block edges: moment_p blocks its n - 4 interior points and overlap its
-#: n - 2, so a last block holds 1 or 3 points, or is 1 or 3 short of full
+#: block edges: moment_p blocks its n - 4 interior points, and moment_x and
+#: overlap their n - 2, so a last block holds 1 or 3 points, or is 1 or 3
+#: short of full
 KERNEL_SIZES = [3, 5, 7, 9, 101, 40001, 2 * _BLOCK + 1, _BLOCK + 3, _BLOCK + 5, 2 * _BLOCK + 3, 2 * _BLOCK + 5]
 
 #: envelopes on u = (x - x_min)/(x_max - x_min): zero at both ends, or
@@ -660,7 +661,7 @@ def test_tail_checks_make_no_pass(monkeypatch):
     monkeypatch.setattr(oracle, "_blocks", lambda *args: calls.append(args[0]) or blocks(*args))
     for name, call, passes in [
         ("overlap", lambda: overlap(a, b), 1),  # conj(a) * b
-        ("moment_x", lambda: moment_x(a, 1), 1),  # the density
+        ("moment_x", lambda: moment_x(a, 1), 1),  # re^2 + im^2 times x
         ("moment_p 1", lambda: moment_p(a, 1, hbar=1.0, rtol=1e3), 1),  # both stencils' sums
         ("moment_p 2", lambda: moment_p(a, 2, hbar=1.0, rtol=1e3), 1),
         ("propagate", lambda: propagate(a, 1e-3, 10, hbar=1.0, mass=1.0), 1),  # its result
@@ -692,13 +693,15 @@ def _traced_peak(fn, *args, **kwargs):
 
 
 def test_moments_allocate_no_extra_squared_modulus():
-    # |psi|^2 is formed as re^2 + im^2 through a block-sized im^2 row: the
-    # density (8 bytes a point) is moment_x's only grid-sized array; moment_p
-    # and overlap hold their differences and products in block-sized rows
+    # every quadrature forms its integrand in block-sized rows: re^2 + im^2
+    # times x for moment_x, whose only grid-sized array is the x grid (8 bytes
+    # a point) at order >= 1; moment_p and overlap hold their differences and
+    # products there too
     grid = GridSpec(-30.0, 600_001, 30.0)
     state = sample(lambda x, t: psi_free(PP, x, t), grid, 0.0)
     n = grid.n_points
-    assert _traced_peak(moment_x, state, 0) <= 1.25 * 8 * n
+    assert _traced_peak(moment_x, state, 0) <= 0.25 * 8 * n
+    assert _traced_peak(moment_x, state, 1) <= 1.25 * 8 * n
     assert _traced_peak(moment_p, state, 1, hbar=1.0) <= 0.25 * 8 * n
     assert _traced_peak(moment_p, state, 2, hbar=1.0) <= 0.25 * 8 * n
     assert _traced_peak(overlap, state, state) <= 0.25 * 8 * n
