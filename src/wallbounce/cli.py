@@ -146,14 +146,9 @@ class CliError(Exception):
     """Bad arguments or configuration (exit code 2)."""
 
 
-class _Exit(Exception):
-    """argparse has answered the request itself (--help); args[0] is the status."""
-
-
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that raises CliError where argparse would print its
-    usage and exit, so every rejected input is one line and exit code 2,
-    and raises _Exit after --help, so that main returns 0 instead of exiting.
+    usage and exit, so every rejected input is one line and exit code 2.
     A negative number in exponent notation (--x0 -1e1) is a value, not an option."""
 
     def __init__(self, *args, **kwargs):
@@ -162,11 +157,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise CliError(message)
-
-    def exit(self, status=0, message=None):
-        if message:
-            self._print_message(message, sys.stderr)
-        raise _Exit(status)
 
 
 _PHYSICS = ("density", "moments", "autocorr")
@@ -226,8 +216,8 @@ def _config_tokens(command: str, path: str) -> list[str]:
                 if key not in keys:
                     raise CliError(f"{path}:{lineno}: unknown key {key!r} for {command}")
                 tokens.append(f"--{key}={value.strip()}")
-    except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, or not text
+        raise CliError(f"{path}: cannot read config file: {exc}") from exc
     return tokens
 
 
@@ -579,8 +569,8 @@ def main(argv=None) -> int:
             except CliError as exc:
                 raise CliError(f"{args.config}: {exc}") from exc
         return _run(_COMMANDS[args.command][0], _resolve(args))
-    except _Exit as exc:
-        return exc.args[0]
+    except SystemExit as exc:  # argparse has answered --help itself
+        return exc.code
     except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -356,27 +356,27 @@ def window_grid(
     t_max: float,
     *,
     half_line: bool,
-    pad: float = 12.0,
     points_per_beta: float | None = None,
 ) -> GridSpec:
     """Grid covering the packet at every time from t_min to t_max.
 
     The centre X(t) is linear in t, so the centres at the window's ends
     bound it, and the width beta_t is largest at the end farthest from
-    t = 0.  The full line spans the centres padded by pad*beta_t on
+    t = 0.  The full line spans the centres padded by 12*beta_t on
     either side.  The half line [x_lo, 0] ends at the wall, and x_lo
-    lies pad*beta_t beyond x0 and beyond -|X(t)| at both ends: past the
+    lies 12*beta_t beyond x0 and beyond -|X(t)| at both ends: past the
     bounce a mirror state's physical part sits at -|X(t)|.  The spacing
     resolves the fastest density oscillation (or is beta/points_per_beta
     when given).
     """
     bt = params.beta_t(max(abs(t_min), abs(t_max)))
+    pad = 12.0 * bt
     centers = (params.center(t_min), params.center(t_max))
     if half_line:
-        x_lo, x_hi = min(params.x0, *(-abs(c) for c in centers)) - pad * bt, 0.0
+        x_lo, x_hi = min(params.x0, *(-abs(c) for c in centers)) - pad, 0.0
     else:
-        x_lo, x_hi = min(centers) - pad * bt, max(centers) + pad * bt
-    if x_lo >= x_hi:  # pad * beta_t is lost in rounding: the window has no width
+        x_lo, x_hi = min(centers) - pad, max(centers) + pad
+    if x_lo >= x_hi:  # the pad is lost in rounding: the window has no width
         raise ValueError(f"beta_t = {bt:.3g} is below the spacing of doubles at x = {x_hi:.6g}; rescale x0 or alpha")
     n = (x_hi - x_lo) / _resolved_spacing(params, points_per_beta, mirrored=half_line) + 1.0
     if not n <= MAX_GRID_POINTS:  # checked before int(), which raises on inf and nan

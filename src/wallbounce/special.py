@@ -14,8 +14,9 @@ the real-arithmetic kernel of :func:`~wallbounce.packets.psi_free`, whose
 amplitude and phase constants absorb the node factor.
 
 Both packets take the :class:`~wallbounce.packets.PacketParams` of the
-free Gaussian; ``SpecialParams(beta=...)`` returns one built from the
-position width ``beta`` in place of ``alpha = beta/hbar``.
+free Gaussian: the wall packet of position width beta is
+``PacketParams(0, 0, beta/hbar, hbar, mass)``.  ``SpecialParams(beta=...)``
+builds the same and is kept for existing callers.
 
 All moments below are exact closed forms; the momentum ones follow from
 applying (hbar/i)*d/dx to the explicit wavefunctions.

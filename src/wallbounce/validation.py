@@ -20,7 +20,6 @@ from .bouncer import (
     collision_force_scale,
     effective_force,
     energy_shift,
-    mirror_normalization,
     momentum_second_moment,
     p_mean_at_collision,
     position_second_moment,
@@ -39,7 +38,6 @@ from .oracle import (
 )
 from .packets import PacketParams, free_moments
 from .special import (
-    SpecialParams,
     psi_wall_packet,
     wall_packet_moments,
     wall_packet_uncertainty,
@@ -71,23 +69,17 @@ def _state(params: PacketParams, grid: GridSpec, t: float) -> GridState:
 
 def _check_normalization():
     rng = np.random.default_rng(_RNG_SEED)
-    worst0 = worst2 = 0.0
+    worst = [0.0, 0.0]  # at t = 0 and at 2 t_c
     for _ in range(20):
         z = 10.0 ** rng.uniform(math.log10(0.1), math.log10(50.0))
         theta = rng.uniform(0.25, 1.32)
         params = PacketParams(
             x0=-math.sqrt(z) * math.cos(theta), p0=math.sqrt(z) * math.sin(theta), alpha=1.0
         )
-        n = mirror_normalization(params)
-        grid = window_grid(params, 0.0, 2.0 * params.collision_time, half_line=True, pad=13.0)
-        xs = grid.points()
-        for t, bucket in ((0.0, 0), (2.0 * params.collision_time, 1)):
-            raw = GridState(grid, psi_bouncer(params, xs, t) / n, t)
-            err = abs(n**2 * moment_x(raw, 0) - 1.0)
-            if bucket == 0:
-                worst0 = max(worst0, err)
-            else:
-                worst2 = max(worst2, err)
+        grid = window_grid(params, 0.0, 2.0 * params.collision_time, half_line=True)
+        for i, t in enumerate((0.0, 2.0 * params.collision_time)):
+            worst[i] = max(worst[i], abs(moment_x(_state(params, grid, t), 0) - 1.0))
+    worst0, worst2 = worst
     passed = worst0 < 1e-9 and worst2 < 1e-8
     detail = f"worst |N^2*norm - 1|: {worst0:.3e} at t=0 (tol 1e-9), {worst2:.3e} at 2t_c (tol 1e-8)"
     return passed, detail, {"worst_t0": worst0, "worst_2tc": worst2}
@@ -205,7 +197,7 @@ def _check_autocorrelation():
 
 
 def _check_wall_packet_moments():
-    sp = SpecialParams(beta=1.0)
+    sp = PacketParams(0.0, 0.0, 1.0)
     grid = GridSpec(-12.0 * sp.beta_t(3.0 * sp.t0), 16001, 0.0)
     worst = 0.0
     for t in (0.0, sp.t0, 3.0 * sp.t0):
@@ -239,7 +231,7 @@ def _check_wall_packet_moments():
 
 
 def _check_uncertainty_coefficients():
-    sp = SpecialParams(beta=1.0)
+    sp = PacketParams(0.0, 0.0, 1.0)
     u0 = wall_packet_uncertainty(sp, 0.0) / sp.hbar
     t = 1e6 * sp.t0
     free_product = 0.5 * sp.hbar * math.sqrt(1.0 + (t / sp.t0) ** 2)
@@ -252,7 +244,7 @@ def _check_uncertainty_coefficients():
 def _check_zero_distance_limit():
     eps = math.sqrt(5e-7)  # distance 1e-6 split evenly
     params = PacketParams(x0=-eps, p0=eps, alpha=1.0)
-    sp = SpecialParams(beta=1.0)
+    sp = PacketParams(0.0, 0.0, 1.0)
     xs = np.linspace(-8.0, 0.0, 321)
     worst = 0.0
     for t in (0.0, 0.3, 1.0, 2.5, 6.0):

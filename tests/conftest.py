@@ -1,9 +1,15 @@
 """Fixtures shared by the test modules."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from wallbounce import validation
 from wallbounce.oracle import TailCaptureError
+
+# the reference rules and runs live beside the files they pin, in reference/regenerate.py
+sys.path.insert(0, str(Path(__file__).parent / "reference"))
 
 
 @pytest.fixture

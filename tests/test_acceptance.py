@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from wallbounce.validation import CRITERION_IDS, run_all
+from regenerate import measured_value_matches
 
 #: run_all()'s measured values, written by tests/reference/regenerate.py
 MEASURED = Path(__file__).parent / "reference" / "measured.json"
@@ -36,15 +37,10 @@ def test_criterion(results, cid):
 
 
 def test_measured_values_match_the_reference(results):
-    # ints and bools exactly, floats to round-off: max(1e-14, 1e-10*|v|)
     reference = json.loads(MEASURED.read_text())
     assert list(reference) == CRITERION_IDS
     for cid, want in reference.items():
         got = results[cid].measured
         assert list(got) == list(want), cid
         for key, value in want.items():
-            if type(value) is float:
-                bound = max(1e-14, 1e-10 * abs(value))
-                assert isinstance(got[key], float) and abs(got[key] - value) <= bound, (cid, key, got[key], value)
-            else:
-                assert type(got[key]) is type(value) and got[key] == value, (cid, key, got[key], value)
+            assert measured_value_matches(got[key], value), (cid, key, got[key], value)

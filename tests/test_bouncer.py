@@ -133,7 +133,7 @@ def test_normalization_degenerate_raises():
 def test_normalization_vs_quadrature():
     p = PacketParams(x0=-1.5, p0=1.0, alpha=1.0)  # z0 = 3.25, N clearly > 1
     n = mirror_normalization(p)
-    grid = window_grid(p, 0.0, 0.0, half_line=True, pad=13.0)
+    grid = window_grid(p, 0.0, 0.0, half_line=True)
     xs = grid.points()
     raw = GridState(grid, psi_free(p, xs, 0.0) - psi_free(p, -xs, 0.0), 0.0)
     assert abs(n * n * moment_x(raw, 0) - 1.0) < 1e-10
@@ -290,7 +290,8 @@ def test_energy_shift_equals_exact_p2_ratio():
 def test_exact_identities_hold_exactly():
     # alpha, hbar, mass, -x0 and p0 log-uniform over 1e-3 to 1e3; t = 0 in half
     # the draws and |t|/t0 log-uniform over 1e-3 to 1e3 in the rest.  No
-    # tolerance: the wall never lowers <p^2>, A(0) is 1 and |A| is at most 1.
+    # tolerance: the wall never lowers <p^2>, A(0) is 1, |A| is at most 1, N is
+    # at least 1 and the overlap correction lies in [0, 1].
     # (Below about 1e-7 t0 the rounding of A_bouncer's parts can still put |A|
     # an ulp above 1, so that range is not drawn yet.)
     rng = np.random.default_rng(7)
@@ -302,6 +303,8 @@ def test_exact_identities_hold_exactly():
         assert autocorrelation_free(p, 0.0) == autocorrelation_bouncer(p, 0.0) == 1.0, p
         assert abs(autocorrelation_free(p, t)) <= 1.0 and abs(autocorrelation_bouncer(p, t)) <= 1.0, (p, t)
         assert energy_shift(p) >= 0.0, p
+        assert mirror_normalization(p) >= 1.0, p
+        assert 0.0 <= overlap_correction(phase_space_distance(p)) <= 1.0, p
 
 
 # ------------------------------------------------- near-collision expansions
@@ -312,6 +315,8 @@ def test_x_mean_leading_term_at_collision(near_bp):
     assert x_mean_near_collision(near_bp, tc) == pytest.approx(
         -NEAR.beta_t(tc) / math.sqrt(math.pi)
     )
+    with pytest.raises(ValueError, match="terms must be 1 or 2"):
+        x_mean_near_collision(near_bp, tc, terms=3)
 
 
 def test_x_mean_symmetric_in_center_offset(near_bp):
@@ -431,7 +436,7 @@ def test_autocorrelation_bouncer_vs_overlap_small_distance():
     # small distance makes the mirror factor matter; oracle pins the branch
     p = PacketParams(x0=-1.0, p0=1.0, alpha=1.0)
     bp = BouncerParams(p)
-    grid = window_grid(p, 0.0, 4.0, half_line=True, pad=14.0)
+    grid = window_grid(p, 0.0, 4.0, half_line=True)
     ref = _bouncer_state(bp, grid, 0.0)
     for t in (0.3, 1.0, 2.0, 4.0):
         num = overlap(ref, _bouncer_state(bp, grid, t))

@@ -2,7 +2,6 @@
 
 import cmath
 import csv
-import importlib.util
 import json
 import math
 import os
@@ -16,19 +15,9 @@ import pytest
 from wallbounce import cli
 from wallbounce.cli import main
 from wallbounce.oracle import GridSpec
+from regenerate import CLI_REFERENCES, cli_mismatches
 
 REFERENCE = Path(__file__).parent / "reference"
-
-
-def _cli_references():
-    """regenerate.py's CLI_REFERENCES: reference file name -> CLI arguments."""
-    spec = importlib.util.spec_from_file_location("regenerate", REFERENCE / "regenerate.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.CLI_REFERENCES
-
-
-CLI_REFERENCES = _cli_references()
 
 
 def run_cli(tmp_path, *argv):
@@ -178,41 +167,12 @@ def test_identical_config_gives_identical_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def _split_output(text):
-    """A CSV output's comment lines, and its header and rows as lists of cells."""
-    lines = text.splitlines()
-    meta = [line for line in lines if line.startswith("#")]
-    return meta, list(csv.reader(line for line in lines if not line.startswith("#")))
-
-
-def _number(cell):
-    """The cell's finite float value, or None for text, an empty cell, nan or inf."""
-    try:
-        value = float(cell)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
-
-
 @pytest.mark.parametrize("name", CLI_REFERENCES)
 def test_output_matches_the_reference(tmp_path, name):
-    # comment lines (params, grid, units) and text cells exactly; a number to
-    # 1e-13 of its column's max |value|.  A CSV cell cannot tell an int from
-    # an integral float, and no data column is an int, so every number is a float.
-    want_meta, want = _split_output((REFERENCE / name).read_text())
     code, out = run_cli(tmp_path, *CLI_REFERENCES[name])
     assert code == 0
-    got_meta, got = _split_output(out.read_text())
-    assert got_meta == want_meta
-    assert [len(row) for row in got] == [len(row) for row in want] and got[0] == want[0]
-    for j, column in enumerate(zip(*want[1:])):
-        bound = 1e-13 * max((abs(v) for v in map(_number, column) if v is not None), default=0.0)
-        for i, cell in enumerate(column, 1):
-            value, other = _number(cell), _number(got[i][j])
-            if value is None:
-                assert got[i][j] == cell, (name, want[0][j], i)
-            else:
-                assert other is not None and abs(other - value) <= bound, (name, want[0][j], i, other, value)
+    mismatches = cli_mismatches(out.read_text(), (REFERENCE / name).read_text())
+    assert not mismatches, (name, mismatches[:3])
 
 
 def test_json_schema(tmp_path):
@@ -249,6 +209,10 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
     bad_value.write_text("kind=free\nnt=abc\n")
     bad_key = tmp_path / "bad_key.conf"
     bad_key.write_text("# comment\nkind=free\nspeed=3\n")
+    no_equals = tmp_path / "no_equals.conf"
+    no_equals.write_text("kind=free\nnt 3\n")
+    not_text = tmp_path / "not_text.conf"
+    not_text.write_bytes(b"\xff\xfekind=free\n")
     for argv in [
         ["moments", "--tmin", "3", "--tmax", "1"],
         ["moments", "--kind", "bouncer", "--x0", "1.0"],
@@ -277,6 +241,10 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
         ["validate", "--kind", "free"],
         ["moments", "--config", str(bad_value)],
         ["moments", "--config", str(bad_key)],
+        ["moments", "--config", str(no_equals)],
+        ["moments", "--config", str(not_text)],
+        ["moments", "--config", str(tmp_path / "missing.conf")],
+        ["moments", "--config", str(tmp_path)],  # a directory
         ["moments", "--kind", "free", "--nt", "1000000000"],  # refused before allocating
         # scales whose beta**2 or t0 is not a normal float, or whose grid overflows
         ["density", "--kind", "wall", "--alpha", "1e-160", "--nt", "1"],
@@ -314,7 +282,9 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
             assert err.startswith(f"error: {argv[-1]}"), err  # names the file
         if argv[-1] == str(bad_key):
             assert f"{bad_key}:3: " in err
-    assert set(tmp_path.iterdir()) == {bad_value, bad_key}  # no output file
+        if argv[-1] == str(no_equals):
+            assert f"{no_equals}:2: expected key=value" in err
+    assert set(tmp_path.iterdir()) == {bad_value, bad_key, no_equals, not_text}  # no output file
 
 
 @pytest.mark.parametrize(
