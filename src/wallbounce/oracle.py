@@ -7,10 +7,15 @@ keeps its peak |psi|^2, which the tail checks read.  window_grid sizes a
 grid to hold a packet over a time window, on the full line or, reflected
 packet included, on the half line.
 
-Moments and overlaps are composite-Simpson quadratures (momentum moments
-of finite-difference derivatives, with an internal convergence estimate)
-whose integrands are formed in the block-sized rows of packets._blocks;
-only moment_x's x grid (order >= 1) is grid-sized.  Every sum is numpy's
+Moments and overlaps are composite-Simpson quadratures whose integrands
+are formed in the block-sized rows of packets._blocks; only moment_x's x
+grid (order >= 1) is grid-sized.  Momentum moments take a 6th-order
+central difference at every point, with the missing neighbours at each
+end odd-reflected through it, and a 4th-order one for an internal error
+estimate.  An integrand odd about the wall (<x> and <p> on a half-line
+grid) has Simpson's Euler-Maclaurin term subtracted there, so what the
+oracle leaves converges like h^6 or exponentially, and window_grid's
+spacing can be twice what a 4th-order oracle needs.  Every sum is numpy's
 pairwise .sum(), never dot/vdot/einsum/matmul: a BLAS reduction rounds
 differently with the thread count, making output bytes depend on the host.
 
@@ -175,6 +180,15 @@ def _check_tails(state: GridState) -> None:
             )
 
 
+def _wall_term(f_2h: float, f_h: float) -> float:
+    """Simpson's Euler-Maclaurin term at a wall x_max = 0, in units of h/3, from an
+    integrand's last two interior values f(-2h) and f(-h).  An integrand odd about
+    the wall, f = c3 x^3 + c5 x^5 + ... (x|psi|^2 and Im(psi* psi') are, as psi and
+    psi'' vanish there), has a Simpson sum h^4 f'''(0)/180 = h^4 c3/30 above its
+    integral, and (f(-2h) - 32 f(-h))/(24 h^3) is c3 with the c5 term cancelled."""
+    return (f_2h - 32.0 * f_h) / 240.0
+
+
 def moment_x(state: GridState, order: int) -> float:
     """Quadrature of x**order * |psi|^2 over the grid.
 
@@ -182,20 +196,40 @@ def moment_x(state: GridState, order: int) -> float:
     TailCaptureError when the state is not negligible at the grid ends.
     Per block of the interior one row holds re^2 + im^2, times x order times;
     the two ends repeat * as well, since x**order can raise OverflowError.
+    On a grid ending at the wall an odd order's integrand is odd there, so
+    Simpson's wall term is subtracted.
     """
     if order < 0 or int(order) != order:
         raise ValueError(f"order must be a nonnegative integer, got {order!r}")
     _check_tails(state)
-    total, order, v, grid = 0.0, int(order), state.values, state.grid
-    for z, x in zip(v[:: v.size - 1].tolist(), (grid.x_min, grid.x_max)):
-        total += math.prod([x] * order, start=z.real * z.real + z.imag * z.imag)
+    order, v, grid = int(order), state.values, state.grid
+    # the ends, and the last two interior points for the wall term
+    xs = (grid.x_min, grid.x_max - 2.0 * grid.h, grid.x_max - grid.h, grid.x_max)
+    zs = v[[0, -3, -2, -1]].tolist()
+    f = [math.prod([x] * order, start=z.real * z.real + z.imag * z.imag) for z, x in zip(zs, xs)]
+    total = f[0] + f[3]
+    if order % 2 and grid.x_max == 0.0:
+        total -= _wall_term(f[1], f[2])
     interior = (v[1:-1], grid.points()[1:-1]) if order else (v[1:-1],)
     for (re2, im2), vb, *xb in _blocks(2, *interior):
         np.add(np.square(vb.real, out=re2), np.square(vb.imag, out=im2), out=re2)
-        for xs in xb * order:
-            re2 *= xs
+        for x in xb * order:
+            re2 *= x
         total = _simpson_block(re2, 4.0, total)
     return float(total * (grid.h / 3.0))
+
+
+def _simpson_abs2(d: np.ndarray, re2: np.ndarray, im2: np.ndarray, total: float) -> float:
+    """total plus the Simpson sum of |d|^2 over a block (first weight 4), formed in the rows re2 and im2."""
+    return _simpson_block(np.add(np.square(d.real, out=re2), np.square(d.imag, out=im2), out=re2), 4.0, total)
+
+
+def _stencil_error(m6: float, m4: float, scale: float) -> float:
+    """The 6th-order stencil error extrapolated from the 4th-order one, e4 = |m6 - m4|:
+    about 1.17 * e4 * sqrt(e4/scale), kept with a safety factor of 4, and formed
+    without e4**1.5, which may overflow; 0 for a zero scale."""
+    e4 = abs(m6 - m4)
+    return 5.0 * e4 * math.sqrt(e4 / scale) if scale > 0.0 else 0.0
 
 
 def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -> float:
@@ -203,70 +237,94 @@ def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -
 
     order 1 returns Re Int psi* (hbar/i) psi' dx; order 2 returns
     hbar**2 Int |psi'|^2 dx (the boundary term vanishes because the
-    state is zero at the wall / in the tails).  psi' is taken with 4th-
-    order central stencils and 4th-order one-sided ends.  The result is
-    checked against a 2nd-order stencil: their difference estimates the
-    low-order error, from which the 4th-order error is extrapolated;
-    StencilConvergenceError is raised if that estimate exceeds
-    rtol * scale.
+    state is zero at the wall / in the tails).  psi' is the 6th-order
+    central difference d6 = [45 D1 - 9 D2 + D3]/(60h) of the differences
+    Dk = psi[j+k] - psi[j-k] at every point, the three missing neighbours
+    at each end taken by odd reflection through it (psi[-k] = -psi[k]),
+    which is exact at the wall and negligible in the tails.  On a grid
+    ending at the wall, order 1 subtracts Simpson's wall term.  The 4th-
+    order d4 = [8 D1 - D2]/(12h) gives e4 = m6 - m4, from which the 6th-
+    order error is extrapolated; StencilConvergenceError is raised if that
+    estimate exceeds rtol * scale.
 
-    The interior j in [2, n-2) goes through _blocks as five shifted views
-    of psi.  Per block, a complex row takes v[j+1] - v[j-1], then, in place,
-    8*(v[j+1] - v[j-1]) - (v[j+2] - v[j-2]); after each, a second row takes
-    conj(psi) * psi' or re^2 + im^2, whose Simpson sums are added.
+    The points j in [3, n-3) go through _blocks as seven shifted views of
+    psi; the three at each end are Python complex values.  Order 1 is linear
+    in psi', so per block it sums Im(conj(psi) Dk) for each k and combines
+    the sums; only a mean the estimate cannot judge by its own size takes a
+    second pass, for the scale hbar*sqrt(Int |psi'|^2).  Order 2 forms d4
+    and d6 in complex rows and sums their re^2 + im^2.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
-    if state.grid.n_points < 5:
-        raise ValueError("momentum moments need at least 5 grid points")
+    if state.grid.n_points < 7:
+        raise ValueError("momentum moments need at least 7 grid points")
     _check_tails(state)
-    v = state.values
-    h = state.grid.h
-    # Simpson sums of the 2nd-order integrand, Im(conj(psi) psi') and |psi'|^2 to 4th order; first the
-    # ends j = 0, 1 and, read backwards (psi' changes sign), n-1, n-2: weight, psi_j, 2h psi'_j, 12h psi'_j
-    sum2 = sum4 = sum4_abs2 = 0.0
-    for sign, (z0, z1, z2, z3, z4) in ((1.0, v[:5].tolist()), (-1.0, v[:-6:-1].tolist())):
-        for w, z, d2, d4 in [
-            (1.0, z0, -3.0 * z0 + 4.0 * z1 - z2, -25.0 * z0 + 48.0 * z1 - 36.0 * z2 + 16.0 * z3 - 3.0 * z4),
-            (4.0, z1, z2 - z0, -3.0 * z0 - 10.0 * z1 + 18.0 * z2 - 6.0 * z3 + z4),
-        ]:
-            sum2 += w * (sign * (z.conjugate() * d2).imag if order == 1 else d2.real * d2.real + d2.imag * d2.imag)
-            sum4 += w * sign * (z.conjugate() * d4).imag
-            sum4_abs2 += w * (d4.real * d4.real + d4.imag * d4.imag)
-    # _BLOCK is even, so every block starts at an even j, whose Simpson weight is 2
-    for rows, vj, vm1, vp1, vm2, vp2 in _blocks(4, v[2:-2], v[1:-3], v[3:-1], v[:-4], v[4:]):
-        d, work, (re2, im2) = rows[:2].reshape(-1).view(complex), rows[2:].reshape(-1).view(complex), rows[2:]
-        np.subtract(vp1, vm1, out=d)
+    v, grid = state.values, state.grid
+    h = grid.h
+
+    def integrand(z: complex, d1: complex, d2: complex, d3: complex) -> list[float]:
         if order == 1:
-            sum2 += _simpson_block(np.multiply(np.conjugate(vj, out=work), d, out=work).imag, 2.0)
-        else:
-            sum2 += _simpson_block(np.add(np.square(d.real, out=re2), np.square(d.imag, out=im2), out=re2), 2.0)
-        d *= 8.0
-        d -= np.subtract(vp2, vm2, out=work)
-        if order == 1:
-            sum4 += _simpson_block(np.multiply(np.conjugate(vj, out=work), d, out=work).imag, 2.0)
-        sum4_abs2 += _simpson_block(np.add(np.square(d.real, out=re2), np.square(d.imag, out=im2), out=re2), 2.0)
-    sum2, sum4, sum4_abs2 = (float(s) * (h / 3.0) for s in (sum2, sum4, sum4_abs2))
+            c = z.conjugate()
+            return [(c * d1).imag, (c * d2).imag, (c * d3).imag, d1.real * d1.real + d1.imag * d1.imag]
+        d4, d6 = 8.0 * d1 - d2, 45.0 * d1 - 9.0 * d2 + d3
+        return [d4.real * d4.real + d4.imag * d4.imag, d6.real * d6.real + d6.imag * d6.imag]
+
+    # Simpson sums (in units of h/3) of each integrand, first at j = 0, 1, 2 and, read
+    # backwards (the differences change sign), n-1, n-2, n-3; e[k + 3] is psi[k], k >= -3
+    sums = [0.0] * (4 if order == 1 else 2)
+    for sign, z in ((1.0, v[:6].tolist()), (-1.0, v[:-7:-1].tolist())):
+        e = [-c for c in z[3:0:-1]] + z
+        fs = [integrand(z[j], *[sign * (e[j + 3 + k] - e[j + 3 - k]) for k in (1, 2, 3)]) for j in (0, 1, 2)]
+        sums = [s + f0 + 4.0 * f1 + 2.0 * f2 for s, f0, f1, f2 in zip(sums, *fs)]
+    if order == 1 and grid.x_max == 0.0:  # fs holds n-1, n-2, n-3; Im(conj(psi) Dk) is odd there
+        sums[:3] = [s - _wall_term(f2, f1) for s, f1, f2 in zip(sums[:3], fs[1], fs[2])]
+    # _BLOCK is even, so every block starts at an odd j, whose Simpson weight is 4
+    views = (v[3:-3], v[4:-2], v[2:-4], v[5:-1], v[1:-5], v[6:], v[:-6])
     if order == 1:
-        m4 = hbar * sum4 / (12.0 * h)
-        m2 = hbar * sum2 / (2.0 * h)
-        # momentum scale for near-zero means, from the same derivative data
-        scale = max(abs(m4), hbar * math.sqrt(abs(sum4_abs2)) / (12.0 * h))
+        for rows, vj, *pairs in _blocks(4, *views):
+            d, cj = rows[:2].reshape(-1).view(complex), rows[2:].reshape(-1).view(complex)
+            np.conjugate(vj, out=cj)
+            for k in range(3):
+                np.subtract(pairs[2 * k], pairs[2 * k + 1], out=d)
+                sums[k] = _simpson_block(np.multiply(d, cj, out=d).imag, 4.0, sums[k])
+        s1, s2, s3 = (s * (h / 3.0) for s in sums[:3])
+        m6 = hbar * (45.0 * s1 - 9.0 * s2 + s3) / (60.0 * h)
+        m4 = hbar * (8.0 * s1 - s2) / (12.0 * h)
+        scale = abs(m6)
+        if _stencil_error(m6, m4, scale) > rtol * scale:
+            # a mean near zero is judged against the momentum scale hbar*sqrt(Int |psi'|^2)
+            for rows, vp1, vm1 in _blocks(4, *views[1:3]):
+                d, (re2, im2) = rows[:2].reshape(-1).view(complex), rows[2:]
+                np.subtract(vp1, vm1, out=d)
+                sums[3] = _simpson_abs2(d, re2, im2, sums[3])
+            scale = max(scale, hbar * math.sqrt(sums[3] * (h / 3.0)) / (2.0 * h))
     else:
-        m4 = hbar**2 * sum4_abs2 / (12.0 * h) ** 2
-        m2 = hbar**2 * sum2 / (2.0 * h) ** 2
-        scale = abs(m4)
-    if scale > 0.0:
-        # second-order error ~ (m2 - m4); fourth-order error ~ 1.2 * e2^2/scale,
-        # kept with a safety factor of 4 (e2 * (e2/scale): e2^2 may overflow)
-        e2 = m4 - m2
-        err_est = 5.0 * e2 * (e2 / scale)
-        if err_est > rtol * scale:
-            raise StencilConvergenceError(
-                f"estimated stencil error {err_est:.3e} exceeds rtol*scale = "
-                f"{rtol * scale:.3e}; refine the grid (h = {h:.3e})"
-            )
-    return m4
+        for rows, _, vp1, vm1, vp2, vm2, vp3, vm3 in _blocks(6, *views):
+            a, b, d = (rows[k : k + 2].reshape(-1).view(complex) for k in (0, 2, 4))
+            re2, im2 = rows[2:4]  # b, once d holds d4
+            np.subtract(vp1, vm1, out=a)
+            np.subtract(vp2, vm2, out=b)
+            np.multiply(a, 8.0, out=d)
+            d -= b
+            sums[0] = _simpson_abs2(d, re2, im2, sums[0])
+            # d6 = 9 d4 - 27 D1 + D3
+            d *= 9.0
+            a *= 27.0
+            d -= a
+            d += vp3
+            d -= vm3
+            sums[1] = _simpson_abs2(d, re2, im2, sums[1])
+        s4, s6 = (s * (h / 3.0) for s in sums)
+        m6 = hbar**2 * s6 / (60.0 * h) ** 2
+        m4 = hbar**2 * s4 / (12.0 * h) ** 2
+        scale = abs(m6)
+    err_est = _stencil_error(m6, m4, scale)
+    if err_est > rtol * scale:
+        raise StencilConvergenceError(
+            f"estimated stencil error {err_est:.3e} exceeds rtol*scale = "
+            f"{rtol * scale:.3e}; refine the grid (h = {h:.3e})"
+        )
+    return m6
 
 
 def overlap(a: GridState, b: GridState) -> complex:
@@ -346,8 +404,10 @@ def _resolved_spacing(params: PacketParams, points_per_beta: float | None, mirro
     dp = 1.0 / (params.alpha * math.sqrt(2.0))
     carrier = (2.0 if mirrored else 1.0) * abs(params.p0)
     k_max = (carrier + 8.0 * dp) / params.hbar + 4.0 / params.beta
-    # (k*h)^4/180 <= 1e-10  =>  k*h <= 0.0116
-    return min(params.beta / 100.0, 0.0116 / k_max)
+    # k*h <= 0.0232: the oracle's stencils are 6th order ((k*h)^6/140 = 1.1e-12) and its
+    # wall term is subtracted, so what it leaves converges like h^6 or exponentially;
+    # every gate's measured value holds its snapshot bound at this spacing, not at half of it
+    return min(params.beta / 100.0, 0.0232 / k_max)
 
 
 def window_grid(

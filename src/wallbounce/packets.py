@@ -26,7 +26,7 @@ are allocated once per call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,6 +122,8 @@ class Moments:
     Second moments are mean*mean + variance and spreads sqrt(variance), so
     no spread cancels far from the origin.  A second moment that is not
     finite, or a negative variance, raises ValueError naming the time.
+    A builder that knows the uncertainty product in closed form passes it
+    as product, so rounding the spreads cannot take it below its bound.
     """
 
     time: float
@@ -129,6 +131,7 @@ class Moments:
     x_var: float
     p_mean: float
     p_var: float
+    product: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.x2_mean) and math.isfinite(self.p2_mean)):
@@ -142,7 +145,7 @@ class Moments:
     p_sd = property(lambda self: math.sqrt(self.p_var))
 
     def uncertainty_product(self) -> float:
-        return self.x_sd * self.p_sd
+        return self.x_sd * self.p_sd if self.product is None else self.product
 
 
 def _blocks(rows: int, *arrays: np.ndarray):
@@ -261,9 +264,11 @@ def phi_free(params: PacketParams, p, t: float):
 
 def _gaussian_moments(params: PacketParams, t: float, order: int) -> Moments:
     """Closed-form moments of _gaussian's packet of the given order: <x> = X(t)
-    and <p> = p0, with variances (order + 1/2)*beta_t**2 and (order + 1/2)/alpha**2."""
+    and <p> = p0, with variances (order + 1/2)*beta_t**2 and (order + 1/2)/alpha**2,
+    so the product (order + 1/2)*hbar*hypot(1, t/t0), never below its t = 0 value."""
     bt, k = params.beta_t(t), order + 0.5
-    return Moments(t, params.center(t), k * bt * bt, params.p0, k / params.alpha**2)
+    product = k * params.hbar * math.hypot(1.0, t / params.t0)
+    return Moments(t, params.center(t), k * bt * bt, params.p0, k / params.alpha**2, product)
 
 
 def free_moments(params: PacketParams, t: float) -> Moments:

@@ -5,7 +5,9 @@ with its measured numbers; :func:`run_all` executes them in order and
 never raises (errors are recorded as failures).  Every check builds its
 own grid, and no caller can replace it: the grids and step sizes below
 were fixed by a halving convergence study, and the quadrature grids
-come from the oscillation-aware defaults in :mod:`wallbounce.oracle`.
+come from the oscillation-aware defaults in :mod:`wallbounce.oracle`,
+whose spacing the latest halving study (CHANGES.md, under the 6th-order
+momentum oracle) doubled.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from wallbounce import (
     in_expansion_window,
     mirror_normalization,
     momentum_second_moment,
+    node_packet_moments,
     overlap_correction,
     p_mean_at_collision,
     phase_space_distance,
@@ -291,7 +292,8 @@ def test_exact_identities_hold_exactly():
     # alpha, hbar, mass, -x0 and p0 log-uniform over 1e-3 to 1e3; t = 0 in half
     # the draws and |t|/t0 log-uniform over 1e-3 to 1e3 in the rest.  No
     # tolerance: the wall never lowers <p^2>, A(0) is 1, |A| is at most 1, N is
-    # at least 1 and the overlap correction lies in [0, 1].
+    # at least 1, the overlap correction lies in [0, 1], and the free and node
+    # packets' uncertainty products are at least hbar/2 and 3*hbar/2.
     # (Below about 1e-7 t0 the rounding of A_bouncer's parts can still put |A|
     # an ulp above 1, so that range is not drawn yet.)
     rng = np.random.default_rng(7)
@@ -300,6 +302,8 @@ def test_exact_identities_hold_exactly():
         p = PacketParams(-distance, p0, alpha, hbar, mass)
         t = 0.0 if rng.random() < 0.5 else float(rng.choice([-1.0, 1.0]) * p.t0 * 10.0 ** rng.uniform(-3.0, 3.0))
         assert momentum_second_moment(p) >= free_moments(p, t).p2_mean, p
+        assert free_moments(p, t).uncertainty_product() >= 0.5 * hbar, (p, t)
+        assert node_packet_moments(p, t).uncertainty_product() >= 1.5 * hbar, (p, t)
         assert autocorrelation_free(p, 0.0) == autocorrelation_bouncer(p, 0.0) == 1.0, p
         assert abs(autocorrelation_free(p, t)) <= 1.0 and abs(autocorrelation_bouncer(p, t)) <= 1.0, (p, t)
         assert energy_shift(p) >= 0.0, p

@@ -357,9 +357,9 @@ def test_validate_text_columns_have_no_units(tmp_path):
     "argv",
     [
         ["density", "--tmax", "1e4"],  # the automatic grid would take 7.7e6 points
-        ["moments", "--tmax", "1e4"],  # 2.0e8 points
+        ["moments", "--tmax", "1e4"],  # 1.4e8 points
         ["density", "--xmin", "-50", "--nx", "100000001"],
-        ["moments", "--tmax", "147"],  # 4.22e6 points, just over the budget
+        ["moments", "--tmax", "300"],  # 4.31e6 points, over the budget
         ["autocorr", "--tmax", "1e4"],
         ["density", "--xmin", "-50", "--nx", "1000"],  # even
         # pad * beta_t is below the spacing of doubles at x0: the window has no width
@@ -375,6 +375,17 @@ def test_bad_grid_exits_two(tmp_path, capsys, argv):
     assert ("--xmin" in err and "--nx" in err) == (argv[0] == "density"), err
     # a window with no width names the packet width that rounding lost
     assert ("beta_t = 1.96e-32" in err) == ("--alpha" in argv), err
+
+
+def test_large_window_runs_within_the_budget(tmp_path):
+    # 2.1e6 points: the 6th-order momentum oracle lets the grid spacing double,
+    # so this window, once 4.2e6 points and refused, now fits; <p> is +-p0
+    code, out = run_cli(tmp_path, "moments", "--tmax", "147", "--nt", "2")
+    assert code == 0
+    rows = read_csv(out)[1]
+    assert [float(r["t"]) for r in rows] == [0.0, 147.0]
+    for r, p_mean in zip(rows, (5.0, -5.0)):
+        assert abs(float(r["p_mean_numeric"]) - p_mean) <= 1e-12 * abs(p_mean), r
 
 
 def test_validate_subset_passes(tmp_path):

@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 import wallbounce
-from wallbounce import BouncerParams, PacketParams, oracle, psi_bouncer, psi_free
+from wallbounce import (
+    BouncerParams,
+    PacketParams,
+    momentum_second_moment,
+    oracle,
+    psi_bouncer,
+    psi_free,
+    psi_wall_packet,
+    wall_packet_moments,
+)
 from wallbounce.oracle import (
     MAX_GRID_POINTS,
     GridMismatchError,
@@ -61,13 +70,14 @@ def test_gridspec_validation():
 
 
 def _parent_spacing(params, points_per_beta, mirrored):
-    # the grid rules before window_grid, frozen as the reference for it
+    # the grid rules before window_grid, frozen as the reference for it, at
+    # the spacing the 6th-order momentum oracle allows (k*h <= 0.0232)
     if points_per_beta is not None:
         return params.beta / points_per_beta
     dp = 1.0 / (params.alpha * math.sqrt(2.0))
     carrier = (2.0 if mirrored else 1.0) * abs(params.p0)
     k_max = (carrier + 8.0 * dp) / params.hbar + 4.0 / params.beta
-    return min(params.beta / 100.0, 0.0116 / k_max)
+    return min(params.beta / 100.0, 0.0232 / k_max)
 
 
 def _parent_odd_at_least(n):
@@ -186,23 +196,29 @@ def test_grid_state_is_frozen():
 
 
 def test_simpson_toy_values_by_hand():
-    # psi = (0, 1, 0) on [-1, 0], 3 points, zero at both ends as the tail
+    # psi = (0, 1, 0) on [0, 1], 3 points, zero at both ends as the tail
     # check asks: Simpson weights h/3 * (1, 4, 1) with h = 1/2 give
-    # h/3*(0 + 4 + 0) = 2/3 for the norm and h/3*(0 + 4*(-1/2) + 0) = -1/3
+    # h/3*(0 + 4 + 0) = 2/3 for the norm and h/3*(0 + 4*(1/2) + 0) = 1/3
     # for the first moment
-    grid = GridSpec(-1.0, 3)
-    st = GridState(grid, np.array([0.0, 1.0, 0.0], dtype=complex), 0.0)
+    psi = np.array([0.0, 1.0, 0.0], dtype=complex)
+    st = GridState(GridSpec(0.0, 3, 1.0), psi, 0.0)
     assert moment_x(st, 0) == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert moment_x(st, 1) == pytest.approx(-1.0 / 3.0, rel=1e-15)
+    assert moment_x(st, 1) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    # on [-1, 0], which ends at the wall, the first moment is -1/3 less the
+    # wall term h/3 * (f(-2h) - 32 f(-h))/240 = 1/6 * (0 + 32/2)/240 = 1/90
+    st = GridState(GridSpec(-1.0, 3), psi, 0.0)
+    assert moment_x(st, 0) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert moment_x(st, 1) == pytest.approx(-1.0 / 3.0 - 1.0 / 90.0, rel=1e-15)
 
 
 def test_simpson_exact_for_cubics():
-    # Simpson integrates cubics exactly: density -x(1+x), zero at both
-    # ends, against order 1 gives Int -x^2(1+x) dx = -1/12 on [-1, 0]
-    grid = GridSpec(-1.0, 9)
+    # Simpson integrates cubics exactly: density x(1-x), zero at both
+    # ends, against order 1 gives Int x^2(1-x) dx = 1/12 on [0, 1] (a grid
+    # that does not end at the wall, where an odd order takes the wall term)
+    grid = GridSpec(0.0, 9, 1.0)
     xs = grid.points()
-    st = GridState(grid, np.sqrt(-xs * (1.0 + xs)) + 0j, 0.0)
-    assert moment_x(st, 1) == pytest.approx(-1.0 / 12.0, rel=1e-14)
+    st = GridState(grid, np.sqrt(xs * (1.0 - xs)) + 0j, 0.0)
+    assert moment_x(st, 1) == pytest.approx(1.0 / 12.0, rel=1e-14)
 
 
 def test_simpson_fourth_order_richardson():
@@ -299,6 +315,48 @@ def test_units_cannot_be_left_out():
         propagate(st, 1e-3, 1)
     with pytest.raises(TypeError):
         propagate(st, 1e-3, 1, hbar=2.0)
+
+
+def test_momentum_oracle_is_at_round_off_on_automatic_grids():
+    # the 6th-order stencil, odd reflection at both ends and the wall term leave
+    # round-off on the automatic grids (the 4th-order oracle left about 5e-11 on
+    # the free <p>, 6.5e-12 on the bouncer's <p^2> and 2.8e-11 on C08's grid).
+    # The free draws keep p0/hbar below the envelope's share of the spacing
+    # rule's k_max: where the carrier sets it, (k h)^6/140 nears 1e-12.
+    rng = np.random.default_rng(606)
+    for _ in range(12):
+        alpha, hbar, mass = (10.0 ** rng.uniform(-0.3, 0.3, 3)).tolist()
+        x0, p0, t = rng.uniform(-15.0, -3.0), rng.uniform(0.5, 3.0), rng.uniform(-4.0, 4.0)
+        p = PacketParams(x0, p0, alpha, hbar, mass)
+        free = sample(lambda x, tt: psi_free(p, x, tt), window_grid(p, t, t, half_line=False), t)
+        assert abs(moment_p(free, 1, hbar=hbar) - p0) <= 1e-14 * p0, p
+        p2 = p0 * p0 + 0.5 / alpha**2
+        assert abs(moment_p(free, 2, hbar=hbar) - p2) <= 1e-14 * p2, p
+        bouncer = sample(lambda x, tt: psi_bouncer(p, x, tt), window_grid(p, 0.0, abs(t), half_line=True), abs(t))
+        p2 = momentum_second_moment(p)
+        assert abs(moment_p(bouncer, 2, hbar=hbar) - p2) <= 1e-14 * p2, p
+    sp = PacketParams(0.0, 0.0, 1.0)
+    grid = GridSpec(-12.0 * sp.beta_t(3.0 * sp.t0), 16001, 0.0)  # C08's grid
+    for t in (0.0, sp.t0, 3.0 * sp.t0):
+        st = sample(lambda x, tt: psi_wall_packet(sp, x, tt), grid, t)
+        m = wall_packet_moments(sp, t)
+        got = (moment_x(st, 1), moment_x(st, 2), moment_p(st, 1, hbar=1.0), moment_p(st, 2, hbar=1.0))
+        for value, want in zip(got, (m.x_mean, m.x2_mean, m.p_mean, m.p2_mean)):
+            assert abs(value - want) <= 1e-13, (t, got)
+
+
+def test_half_line_first_moment_converges_like_h6():
+    # x|psi|^2 is odd about the wall, so Simpson's rule alone keeps an h^4 term
+    # there; with the wall term subtracted each halving of h cuts the error of
+    # the default bouncer's <x> at t_c about 64 times
+    bp = BouncerParams(DEMO)
+    tc = bp.collision_time
+    sizes = [2**k + 1 for k in (10, 11, 12, 13, 15)]  # the last one as the reference
+    means = [moment_x(sample(lambda x, t: psi_bouncer(bp, x, t), GridSpec(-60.0, n), tc), 1) for n in sizes]
+    errors = [abs(m - means[-1]) for m in means[:-1]]
+    assert errors[-1] > 1e-13  # still well above round-off
+    for coarse, half in zip(errors, errors[1:]):
+        assert coarse / half > 50.0, errors
 
 
 # ------------------------------------------------------------------ overlap
@@ -492,53 +550,47 @@ def ref_moment_x(state, order, rule="simpson"):
     return float(np.sum(w * x ** int(order) * density))
 
 
-def ref_derivative_o4(v, h):
-    d = np.empty_like(v)
-    d[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    d[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
-    d[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / (12.0 * h)
-    d[-1] = (25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]) / (12.0 * h)
-    d[-2] = (3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]) / (12.0 * h)
-    return d
-
-
-def ref_derivative_o2(v, h):
-    d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return d
+def ref_differences(v):
+    """D_k = v[j+k] - v[j-k] for k = 1, 2, 3 at every j, v odd-reflected through each end."""
+    ext = np.concatenate([-v[3:0:-1], v, -v[-2:-5:-1]])
+    n = v.size
+    return [ext[3 + k : 3 + k + n] - ext[3 - k : 3 - k + n] for k in (1, 2, 3)]
 
 
 def ref_moment_p(state, order, *, hbar, rtol=1e-6):
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
-    if state.grid.n_points < 5:
-        raise ValueError("momentum moments need at least 5 grid points")
+    if state.grid.n_points < 7:
+        raise ValueError("momentum moments need at least 7 grid points")
     ref_check_tails(state)
     v = state.values
     if not np.any(v):
         return 0.0
     h = state.grid.h
     w = ref_weights(state.grid, "simpson")
-    d4 = ref_derivative_o4(v, h)
-    d2 = ref_derivative_o2(v, h)
+    d1, d2, d3 = ref_differences(v)
+    d6 = (45.0 * d1 - 9.0 * d2 + d3) / (60.0 * h)
+    d4 = (8.0 * d1 - d2) / (12.0 * h)
     if order == 1:
-        m4 = hbar * float(np.sum(w * np.imag(np.conj(v) * d4)))
-        m2 = hbar * float(np.sum(w * np.imag(np.conj(v) * d2)))
-        scale = max(abs(m4), hbar * math.sqrt(abs(float(np.sum(w * np.abs(d4) ** 2)))))
+        f6, f4 = hbar * np.imag(np.conj(v) * d6), hbar * np.imag(np.conj(v) * d4)
+        m6, m4 = float(np.sum(w * f6)), float(np.sum(w * f4))
+        if state.grid.x_max == 0.0:
+            # the odd integrand's Euler-Maclaurin term h^4 f'''(0)/180, f'''(0) = 6 c3
+            m6, m4 = (m - h**4 * (f[-3] - 32.0 * f[-2]) / (24.0 * h**3) / 30.0 for m, f in ((m6, f6), (m4, f4)))
+        scale = max(abs(m6), hbar * math.sqrt(float(np.sum(w * np.abs(d1 / (2.0 * h)) ** 2))))
     else:
+        m6 = hbar**2 * float(np.sum(w * np.abs(d6) ** 2))
         m4 = hbar**2 * float(np.sum(w * np.abs(d4) ** 2))
-        m2 = hbar**2 * float(np.sum(w * np.abs(d2) ** 2))
-        scale = abs(m4)
+        scale = abs(m6)
     if scale > 0.0:
-        err_est = 5.0 * (m4 - m2) ** 2 / scale
+        e4 = abs(m6 - m4)
+        err_est = 5.0 * e4 * math.sqrt(e4 / scale)
         if err_est > rtol * scale:
             raise StencilConvergenceError(
                 f"estimated stencil error {err_est:.3e} exceeds rtol*scale = "
                 f"{rtol * scale:.3e}; refine the grid (h = {h:.3e})"
             )
-    return m4
+    return m6
 
 
 def ref_overlap(a, b):
@@ -548,10 +600,13 @@ def ref_overlap(a, b):
     return complex(np.sum(w * np.conj(a.values) * b.values))
 
 
-#: block edges: moment_p blocks its n - 4 interior points, and moment_x and
+#: block edges: moment_p blocks its n - 6 interior points, and moment_x and
 #: overlap their n - 2, so a last block holds 1 or 3 points, or is 1 or 3
 #: short of full
-KERNEL_SIZES = [3, 5, 7, 9, 101, 40001, 2 * _BLOCK + 1, _BLOCK + 3, _BLOCK + 5, 2 * _BLOCK + 3, 2 * _BLOCK + 5]
+KERNEL_SIZES = [
+    3, 5, 7, 9, 101, 40001, 2 * _BLOCK + 1, _BLOCK + 3, _BLOCK + 5, 2 * _BLOCK + 3, 2 * _BLOCK + 5,
+    _BLOCK + 7, 2 * _BLOCK + 9,
+]
 
 #: envelopes on u = (x - x_min)/(x_max - x_min): zero at both ends, or
 #: open at one end so that the tail check must refuse the state
@@ -681,13 +736,14 @@ def test_tail_checks_make_no_pass(monkeypatch):
 
 
 def test_moment_p_scales_with_a_large_state():
-    # (m4 - m2)**2 would overflow here; the estimate is formed without it
+    # |m6 - m4|**1.5 would overflow here; the estimate is formed without it
     st = _kernel_state(101, seed=101)
-    big = GridState(st.grid, 1e100 * st.values, 0.0)
+    big = GridState(st.grid, 1e130 * st.values, 0.0)
+    coarse = _kernel_state(51, seed=101)  # too coarse for the 6th-order stencil
     for order in (1, 2):
-        want = 1e200 * moment_p(st, order, hbar=1.0, rtol=1e3)
+        want = 1e260 * moment_p(st, order, hbar=1.0, rtol=1e3)
         assert abs(moment_p(big, order, hbar=1.0, rtol=1e3) - want) <= 1e-12 * abs(want)
-        for state in (st, big):  # the same stencil-error decision at either scale
+        for state in (coarse, GridState(coarse.grid, 1e130 * coarse.values, 0.0)):  # the same decision at either scale
             with pytest.raises(StencilConvergenceError):
                 moment_p(state, order, hbar=1.0)
 
