@@ -406,7 +406,7 @@ def _resolved_spacing(params: PacketParams, points_per_beta: float | None, mirro
     k_max = (carrier + 8.0 * dp) / params.hbar + 4.0 / params.beta
     # k*h <= 0.0232: the oracle's stencils are 6th order ((k*h)^6/140 = 1.1e-12) and its
     # wall term is subtracted, so what it leaves converges like h^6 or exponentially;
-    # every gate's measured value holds its snapshot bound at this spacing, not at half of it
+    # at twice this spacing C02's <p^2> leaves its snapshot bound
     return min(params.beta / 100.0, 0.0232 / k_max)
 
 
