@@ -159,6 +159,7 @@ def psi_bouncer(params: PacketParams, x, t: float):
         np.minimum(xb, 0.0, out=xm)
         np.multiply(xm, re_q, out=em)
         np.multiply(xm, half_im_q, out=h)
+        np.clip(h, -1e300, 1e300, out=h)  # as in _gaussian: tan keeps a finite half phase finite
         np.expm1(em, out=em)
         np.tan(h, out=h)
         np.add(em, 1.0, out=w)

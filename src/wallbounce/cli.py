@@ -446,7 +446,7 @@ def cmd_moments(cfg: RunConfig, stream) -> int:
     for t in ts:
         state = sample(psi, grid, t)
         x_num.append(moment_x(state, 1))
-        p_num.append(moment_p(state, 1, hbar=cfg.params.hbar, rtol=1e-4))
+        p_num.append(moment_p(state, 1, hbar=cfg.params.hbar))
     exact = _KINDS[cfg.kind].exact
     x2, p2, classical, approx = zip(*(exact(cfg.params, t) for t in ts))
     columns = {

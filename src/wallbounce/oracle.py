@@ -11,8 +11,9 @@ Moments and overlaps are composite-Simpson quadratures whose integrands
 are formed in the block-sized rows of packets._blocks; only moment_x's x
 grid (order >= 1) is grid-sized.  Momentum moments take a 6th-order
 central difference at every point, with the missing neighbours at each
-end odd-reflected through it, and a 4th-order one for an internal error
-estimate.  An integrand odd about the wall (<x> and <p> on a half-line
+end odd-reflected through it, and a 4th-order one for an error estimate
+that must stay within STENCIL_RTOL of the moment's scale for every
+caller.  An integrand odd about the wall (<x> and <p> on a half-line
 grid) has Simpson's Euler-Maclaurin term subtracted there, so what the
 oracle leaves converges like h^6 or exponentially, and window_grid's
 spacing can be twice what a 4th-order oracle needs.  Every sum is numpy's
@@ -54,6 +55,9 @@ __all__ = [
 #: considered too narrow to capture the state's tails
 TAIL_RTOL = 1e-12
 
+#: largest estimated stencil error, relative to its scale, moment_p accepts
+STENCIL_RTOL = 1e-6
+
 #: most points a GridSpec may have (64 MiB per complex state); far above
 #: every grid the library sizes for its own checks (about 6e5 points)
 MAX_GRID_POINTS = 2**22
@@ -87,8 +91,8 @@ class GridSpec:
     x_max: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise ValueError("grid bounds must be finite")
+        if not math.isfinite(self.x_max - self.x_min):  # either bound, or a span that overflows
+            raise ValueError(f"grid bounds and their span must be finite, got [{self.x_min}, {self.x_max}]")
         if self.x_min >= self.x_max:
             raise ValueError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n_points < 3:
@@ -143,9 +147,10 @@ def sample(wavefn, grid: GridSpec, t: float) -> GridState:
     return GridState(grid, wavefn(grid.points(), t), t)
 
 
-def _simpson_block(f: np.ndarray, first: float, total=0.0):
-    """total plus the Simpson-weighted sum of interior points f: first (4 or 2) on f[0::2], 6 - first on f[1::2]."""
-    return total + first * f[0::2].sum() + (6.0 - first) * f[1::2].sum()
+def _simpson_block(f: np.ndarray, total=0.0):
+    """total plus the Simpson-weighted sum of interior points f, which start at an odd
+    grid index: weight 4 on f[0::2] and 2 on f[1::2]."""
+    return total + 4.0 * f[0::2].sum() + 2.0 * f[1::2].sum()
 
 
 def _check_tails(state: GridState) -> None:
@@ -215,13 +220,13 @@ def moment_x(state: GridState, order: int) -> float:
         np.add(np.square(vb.real, out=re2), np.square(vb.imag, out=im2), out=re2)
         for x in xb * order:
             re2 *= x
-        total = _simpson_block(re2, 4.0, total)
+        total = _simpson_block(re2, total)
     return float(total * (grid.h / 3.0))
 
 
 def _simpson_abs2(d: np.ndarray, re2: np.ndarray, im2: np.ndarray, total: float) -> float:
     """total plus the Simpson sum of |d|^2 over a block (first weight 4), formed in the rows re2 and im2."""
-    return _simpson_block(np.add(np.square(d.real, out=re2), np.square(d.imag, out=im2), out=re2), 4.0, total)
+    return _simpson_block(np.add(np.square(d.real, out=re2), np.square(d.imag, out=im2), out=re2), total)
 
 
 def _stencil_error(m6: float, m4: float, scale: float) -> float:
@@ -232,7 +237,7 @@ def _stencil_error(m6: float, m4: float, scale: float) -> float:
     return 5.0 * e4 * math.sqrt(e4 / scale) if scale > 0.0 else 0.0
 
 
-def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -> float:
+def moment_p(state: GridState, order: int, *, hbar: float) -> float:
     """Momentum moment via the operator (hbar/i) d/dx on the grid.
 
     order 1 returns Re Int psi* (hbar/i) psi' dx; order 2 returns
@@ -245,7 +250,8 @@ def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -
     ending at the wall, order 1 subtracts Simpson's wall term.  The 4th-
     order d4 = [8 D1 - D2]/(12h) gives e4 = m6 - m4, from which the 6th-
     order error is extrapolated; StencilConvergenceError is raised if that
-    estimate exceeds rtol * scale.
+    estimate exceeds STENCIL_RTOL * scale, the scale being |<p^n>| or, for
+    a mean too small to judge, hbar*sqrt(Int |psi'|^2); no caller sets it.
 
     The points j in [3, n-3) go through _blocks as seven shifted views of
     psi; the three at each end are Python complex values.  Order 1 is linear
@@ -286,12 +292,12 @@ def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -
             np.conjugate(vj, out=cj)
             for k in range(3):
                 np.subtract(pairs[2 * k], pairs[2 * k + 1], out=d)
-                sums[k] = _simpson_block(np.multiply(d, cj, out=d).imag, 4.0, sums[k])
+                sums[k] = _simpson_block(np.multiply(d, cj, out=d).imag, sums[k])
         s1, s2, s3 = (s * (h / 3.0) for s in sums[:3])
         m6 = hbar * (45.0 * s1 - 9.0 * s2 + s3) / (60.0 * h)
         m4 = hbar * (8.0 * s1 - s2) / (12.0 * h)
         scale = abs(m6)
-        if _stencil_error(m6, m4, scale) > rtol * scale:
+        if _stencil_error(m6, m4, scale) > STENCIL_RTOL * scale:
             # a mean near zero is judged against the momentum scale hbar*sqrt(Int |psi'|^2)
             for rows, vp1, vm1 in _blocks(4, *views[1:3]):
                 d, (re2, im2) = rows[:2].reshape(-1).view(complex), rows[2:]
@@ -319,10 +325,10 @@ def moment_p(state: GridState, order: int, *, hbar: float, rtol: float = 1e-6) -
         m4 = hbar**2 * s4 / (12.0 * h) ** 2
         scale = abs(m6)
     err_est = _stencil_error(m6, m4, scale)
-    if err_est > rtol * scale:
+    if err_est > STENCIL_RTOL * scale:
         raise StencilConvergenceError(
             f"estimated stencil error {err_est:.3e} exceeds rtol*scale = "
-            f"{rtol * scale:.3e}; refine the grid (h = {h:.3e})"
+            f"{STENCIL_RTOL * scale:.3e}; refine the grid (h = {h:.3e})"
         )
     return m6
 
@@ -340,7 +346,7 @@ def overlap(a: GridState, b: GridState) -> complex:
     total = u0.conjugate() * v0 + u1.conjugate() * v1
     for rows, ub, vb in _blocks(2, u[1:-1], v[1:-1]):
         product = np.conjugate(ub, out=rows.reshape(-1).view(complex))
-        total += _simpson_block(np.multiply(product, vb, out=product), 4.0)
+        total += _simpson_block(np.multiply(product, vb, out=product))
     return complex(total * (a.grid.h / 3.0))
 
 

@@ -96,7 +96,7 @@ def _check_even_moments():
     for t in np.linspace(0.0, t_max, 9):
         st = _state(DEMO_PARAMS, grid, float(t))
         x2 = moment_x(st, 2)
-        p2 = moment_p(st, 2, hbar=DEMO_PARAMS.hbar, rtol=2e-6)
+        p2 = moment_p(st, 2, hbar=DEMO_PARAMS.hbar)
         worst_x2 = max(worst_x2, abs(x2 - position_second_moment(DEMO_PARAMS, float(t))) / x2)
         worst_p2 = max(worst_p2, abs(p2 - p2_closed) / p2_closed)
         p2_vals.append(p2)
@@ -150,7 +150,7 @@ def _check_collision_momentum():
         tc = params.collision_time
         closed = p_mean_at_collision(params)
         grid = window_grid(params, 0.0, tc, half_line=True)
-        numeric = moment_p(_state(params, grid, tc), 1, hbar=params.hbar, rtol=1e-3)
+        numeric = moment_p(_state(params, grid, tc), 1, hbar=params.hbar)
         worst = max(worst, abs(closed - numeric) / abs(numeric))
         dists.append(abs(closed - asymptote))
     monotone = all(a > b for a, b in zip(dists, dists[1:]))
@@ -206,8 +206,8 @@ def _check_wall_packet_moments():
         st = sample(lambda x, tt: psi_wall_packet(sp, x, tt), grid, t)
         m = wall_packet_moments(sp, t)
         x1, x2 = moment_x(st, 1), moment_x(st, 2)
-        p1 = moment_p(st, 1, hbar=sp.hbar, rtol=1e-5)
-        p2 = moment_p(st, 2, hbar=sp.hbar, rtol=1e-5)
+        p1 = moment_p(st, 1, hbar=sp.hbar)
+        p2 = moment_p(st, 2, hbar=sp.hbar)
         worst = max(
             worst,
             abs(x1 - m.x_mean),

@@ -365,16 +365,29 @@ def test_validate_text_columns_have_no_units(tmp_path):
         # pad * beta_t is below the spacing of doubles at x0: the window has no width
         ["autocorr", "--kind", "free", "--x0=-0.005", "--p0", "1.5e129", "--alpha", "3.7e46",
          "--hbar", "5.3e-79", "--mass", "8.5e-157", "--tmax", "0", "--nt", "1"],
+        ["density", "--kind", "free", "--xmin", "-1e308", "--nx", "3", "--nt", "1"],  # the span overflows
     ],
 )
 def test_bad_grid_exits_two(tmp_path, capsys, argv):
-    assert run_cli(tmp_path, *argv)[0] == 2
+    code, out = run_cli(tmp_path, *argv)
+    assert code == 2 and not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: invalid grid") and err.count("\n") == 1
     # only density takes a grid, so only its refusal suggests one
     assert ("--xmin" in err and "--nx" in err) == (argv[0] == "density"), err
     # a window with no width names the packet width that rounding lost
     assert ("beta_t = 1.96e-32" in err) == ("--alpha" in argv), err
+
+
+def test_far_hand_grid_writes_finite_densities(tmp_path):
+    # at x = -1e300 the mirror factor's half phase overflows; clipped, as the
+    # free packet's is, it keeps tan finite, so the density there is 0, not nan
+    argv = ["density", "--kind", "bouncer", "--xmin", "-1e300", "--nx", "5", "--nt", "1", "--p0", "1e10"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run_cli(tmp_path, *argv)
+    assert code == 0
+    densities = [float(r["density"]) for r in read_csv(out)[1]]
+    assert len(densities) == 5 and all(d == 0.0 for d in densities), densities
 
 
 def test_large_window_runs_within_the_budget(tmp_path):

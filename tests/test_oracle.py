@@ -58,6 +58,10 @@ def test_gridspec_validation():
     for lo, hi in ((-math.inf, 0.0), (math.nan, 0.0), (-1.0, math.inf)):
         with pytest.raises(ValueError, match="finite"):
             GridSpec(lo, 5, hi)
+    # finite bounds whose span overflows would give h = inf and nan points
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(-1e308, 3, 1e308)
+    assert GridSpec(-1e308, 3).h == 5e307
     # the point budget, checked before anything is allocated
     GridSpec(-1.0, MAX_GRID_POINTS - 1)  # the largest odd count
     with pytest.raises(ValueError, match="budget"):
@@ -317,6 +321,15 @@ def test_units_cannot_be_left_out():
         propagate(st, 1e-3, 1, hbar=2.0)
 
 
+def test_stencil_tolerance_cannot_be_passed():
+    # every caller is judged at the module's STENCIL_RTOL
+    p = PacketParams(x0=-5.0, p0=2.0, alpha=1.0)
+    st = sample(lambda x, t: psi_free(p, x, t), window_grid(p, 0.0, 0.0, half_line=False), 0.0)
+    for order in (1, 2):
+        with pytest.raises(TypeError):
+            moment_p(st, order, hbar=1.0, rtol=1e3)
+
+
 def test_momentum_oracle_is_at_round_off_on_automatic_grids():
     # the 6th-order stencil, odd reflection at both ends and the wall term leave
     # round-off on the automatic grids (the 4th-order oracle left about 5e-11 on
@@ -484,7 +497,7 @@ def test_propagate_discrete_ehrenfest_one_interval():
     x0_, x1_ = moment_x(st, 1), moment_x(out, 1)
     mid = propagate(st, dt, steps // 2, hbar=1.0, mass=1.0)
     fd = bp.mass * (x1_ - x0_) / (dt * steps)
-    assert abs(fd - moment_p(mid, 1, hbar=1.0, rtol=1e-4)) < 1e-5
+    assert abs(fd - moment_p(mid, 1, hbar=1.0)) < 1e-5
 
 
 def test_propagate_matches_closed_form_through_bounce():
@@ -557,7 +570,7 @@ def ref_differences(v):
     return [ext[3 + k : 3 + k + n] - ext[3 - k : 3 - k + n] for k in (1, 2, 3)]
 
 
-def ref_moment_p(state, order, *, hbar, rtol=1e-6):
+def ref_moment_p(state, order, *, hbar):
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
     if state.grid.n_points < 7:
@@ -585,6 +598,7 @@ def ref_moment_p(state, order, *, hbar, rtol=1e-6):
     if scale > 0.0:
         e4 = abs(m6 - m4)
         err_est = 5.0 * e4 * math.sqrt(e4 / scale)
+        rtol = oracle.STENCIL_RTOL
         if err_est > rtol * scale:
             raise StencilConvergenceError(
                 f"estimated stencil error {err_est:.3e} exceeds rtol*scale = "
@@ -657,16 +671,19 @@ def test_moment_x_matches_reference_kernel(n, envelope):
 @pytest.mark.parametrize("envelope", list(ENVELOPES))
 @pytest.mark.parametrize("n", KERNEL_SIZES)
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
-def test_moment_p_matches_reference_kernel(n, envelope, hbar):
+def test_moment_p_matches_reference_kernel(n, envelope, hbar, monkeypatch):
     st = _kernel_state(n, seed=10 * n + 1, envelope=envelope)
-    # at the default rtol the coarse grids raise StencilConvergenceError;
-    # a loose rtol lets them return, so their values are compared too
-    for rtol in (1e-6, 1e3):
-        p2 = _outcome(ref_moment_p, st, 2, hbar=hbar, rtol=1e3)
+    # at STENCIL_RTOL the coarse grids raise StencilConvergenceError;
+    # a loose tolerance lets them return, so their values are compared too
+    strict = oracle.STENCIL_RTOL
+    monkeypatch.setattr(oracle, "STENCIL_RTOL", 1e3)
+    p2 = _outcome(ref_moment_p, st, 2, hbar=hbar)
+    for rtol in (strict, 1e3):
+        monkeypatch.setattr(oracle, "STENCIL_RTOL", rtol)
         for order in (1, 2):
-            want = _outcome(ref_moment_p, st, order, hbar=hbar, rtol=rtol)
+            want = _outcome(ref_moment_p, st, order, hbar=hbar)
             scale = 1.0 if isinstance(p2, tuple) else p2 ** (order / 2)
-            _assert_same_outcome(_outcome(moment_p, st, order, hbar=hbar, rtol=rtol), want, scale)
+            _assert_same_outcome(_outcome(moment_p, st, order, hbar=hbar), want, scale)
 
 
 @pytest.mark.parametrize("n", KERNEL_SIZES)
@@ -703,8 +720,10 @@ def _tail_outcome(fn, *args, **kwargs):
 
 @pytest.mark.parametrize("envelope", list(ENVELOPES))
 @pytest.mark.parametrize("n", [9, 101, 40001])
-def test_tail_checks_match_the_reference_at_every_scale(n, envelope):
-    # small scales take the moduli branch, the others compare squares
+def test_tail_checks_match_the_reference_at_every_scale(n, envelope, monkeypatch):
+    # small scales take the moduli branch, the others compare squares; a loose
+    # stencil tolerance lets moment_p return on the grids its stencil refuses
+    monkeypatch.setattr(oracle, "STENCIL_RTOL", 1e3)
     base = _kernel_state(n, seed=n, envelope=envelope)
     for c in TAIL_SCALES:
         st = GridState(base.grid, c * base.values, 0.0)
@@ -712,7 +731,7 @@ def test_tail_checks_match_the_reference_at_every_scale(n, envelope):
         assert (want is None) == (envelope == "closed")
         with np.errstate(over="ignore", invalid="ignore"):
             assert _tail_outcome(moment_x, st, 0) == want, c
-            assert _tail_outcome(moment_p, st, 1, hbar=1.0, rtol=1e3) == want, c
+            assert _tail_outcome(moment_p, st, 1, hbar=1.0) == want, c
             assert _tail_outcome(overlap, st, st) == want, c
             assert _tail_outcome(propagate, st, 1e-3, 1, hbar=1.0, mass=1.0) == want, c
 
@@ -723,11 +742,12 @@ def test_tail_checks_make_no_pass(monkeypatch):
     calls = []
     blocks = oracle._blocks
     monkeypatch.setattr(oracle, "_blocks", lambda *args: calls.append(args[0]) or blocks(*args))
+    monkeypatch.setattr(oracle, "STENCIL_RTOL", 1e3)  # so the order-1 mean takes no scale pass
     for name, call, passes in [
         ("overlap", lambda: overlap(a, b), 1),  # conj(a) * b
         ("moment_x", lambda: moment_x(a, 1), 1),  # re^2 + im^2 times x
-        ("moment_p 1", lambda: moment_p(a, 1, hbar=1.0, rtol=1e3), 1),  # both stencils' sums
-        ("moment_p 2", lambda: moment_p(a, 2, hbar=1.0, rtol=1e3), 1),
+        ("moment_p 1", lambda: moment_p(a, 1, hbar=1.0), 1),  # both stencils' sums
+        ("moment_p 2", lambda: moment_p(a, 2, hbar=1.0), 1),
         ("propagate", lambda: propagate(a, 1e-3, 10, hbar=1.0, mass=1.0), 1),  # its result
     ]:
         calls.clear()
@@ -735,14 +755,17 @@ def test_tail_checks_make_no_pass(monkeypatch):
         assert len(calls) == passes, name
 
 
-def test_moment_p_scales_with_a_large_state():
+def test_moment_p_scales_with_a_large_state(monkeypatch):
     # |m6 - m4|**1.5 would overflow here; the estimate is formed without it
     st = _kernel_state(101, seed=101)
     big = GridState(st.grid, 1e130 * st.values, 0.0)
     coarse = _kernel_state(51, seed=101)  # too coarse for the 6th-order stencil
+    strict = oracle.STENCIL_RTOL
     for order in (1, 2):
-        want = 1e260 * moment_p(st, order, hbar=1.0, rtol=1e3)
-        assert abs(moment_p(big, order, hbar=1.0, rtol=1e3) - want) <= 1e-12 * abs(want)
+        monkeypatch.setattr(oracle, "STENCIL_RTOL", 1e3)  # <p^2> on 101 points is refused at STENCIL_RTOL
+        want = 1e260 * moment_p(st, order, hbar=1.0)
+        assert abs(moment_p(big, order, hbar=1.0) - want) <= 1e-12 * abs(want)
+        monkeypatch.setattr(oracle, "STENCIL_RTOL", strict)
         for state in (coarse, GridState(coarse.grid, 1e130 * coarse.values, 0.0)):  # the same decision at either scale
             with pytest.raises(StencilConvergenceError):
                 moment_p(state, order, hbar=1.0)

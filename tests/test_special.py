@@ -176,8 +176,8 @@ def test_wall_moments_vs_quadrature():
         st = _wall_state(SP, grid, t)
         assert abs(moment_x(st, 1) - m.x_mean) < 1e-7
         assert abs(moment_x(st, 2) - m.x2_mean) < 1e-7
-        assert abs(moment_p(st, 1, hbar=1.0, rtol=1e-5) - m.p_mean) < 1e-7
-        assert abs(moment_p(st, 2, hbar=1.0, rtol=1e-5) - m.p2_mean) < 1e-7
+        assert abs(moment_p(st, 1, hbar=1.0) - m.p_mean) < 1e-7
+        assert abs(moment_p(st, 2, hbar=1.0) - m.p2_mean) < 1e-7
 
 
 def test_wall_momentum_spread_strictly_decreasing():
