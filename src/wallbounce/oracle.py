@@ -1,4 +1,4 @@
-"""Independent numerical oracle: grid quadrature, momentum stencils, propagation.
+"""Independent numerical oracle: grid quadrature, momentum moments, propagation.
 
 This module knows nothing about the closed forms it is used to check.
 States live on a uniform grid (by default the half-line [x_min, 0] with
@@ -7,16 +7,16 @@ keeps its peak |psi|^2, which the tail checks read.  window_grid sizes a
 grid to hold a packet over a time window, on the full line or, reflected
 packet included, on the half line.
 
-Moments and overlaps are composite-Simpson quadratures whose integrands
-are formed in the block-sized rows of packets._blocks; only moment_x's x
-grid (order >= 1) is grid-sized.  Momentum moments take a 6th-order
-central difference at every point, with the missing neighbours at each
-end odd-reflected through it, and a 4th-order one for an error estimate
-that must stay within STENCIL_RTOL of the moment's scale for every
-caller.  An integrand odd about the wall (<x> and <p> on a half-line
+Position moments, <p> and overlaps are composite-Simpson quadratures
+whose integrands are formed in the block-sized rows of packets._blocks;
+only moment_x's x grid (order >= 1) is grid-sized.  <p> takes a
+6th-order central difference at every point, with the missing neighbours
+at each end odd-reflected through it, and a 4th-order one for an error
+estimate; an integrand odd about the wall (<x> and <p> on a half-line
 grid) has Simpson's Euler-Maclaurin term subtracted there, so what the
-oracle leaves converges like h^6 or exponentially, and window_grid's
-spacing can be twice what a 4th-order oracle needs.  Every sum is numpy's
+oracle leaves converges like h^6 or exponentially.  <p^2> is a Parseval
+sum over the state's sine coefficients, which converges exponentially.
+Both momentum moments refuse a grid at STENCIL_RTOL.  Every sum is numpy's
 pairwise .sum(), never dot/vdot/einsum/matmul: a BLAS reduction rounds
 differently with the thread count, making output bytes depend on the host.
 
@@ -30,6 +30,7 @@ exactly in the type-I discrete sine basis, which diagonalises the step.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,8 @@ __all__ = [
 #: considered too narrow to capture the state's tails
 TAIL_RTOL = 1e-12
 
-#: largest estimated stencil error, relative to its scale, moment_p accepts
+#: largest relative error moment_p accepts: <p>'s estimated stencil error
+#: against its scale, or the share of <p^2> in the top eighth of the sine modes
 STENCIL_RTOL = 1e-6
 
 #: most points a GridSpec may have (64 MiB per complex state); far above
@@ -72,7 +74,7 @@ class GridMismatchError(ValueError):
 
 
 class StencilConvergenceError(RuntimeError):
-    """Finite-difference momentum moment did not converge on this grid."""
+    """Momentum moment not resolved on this grid."""
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,9 @@ class GridSpec:
     The default x_max = 0.0 is the hard wall, giving the half-line grid
     [x_min, 0] with the last point exactly at the wall; pass x_max > 0
     for the full-line variant used with free packets.  n_points must be
-    odd so composite Simpson weights exist, and at most MAX_GRID_POINTS,
-    which is checked here, before any array of that size is allocated.
+    an integer, odd so composite Simpson weights exist, and at most
+    MAX_GRID_POINTS, which is checked here, before any array of that size
+    is allocated.
     """
 
     x_min: float
@@ -91,6 +94,10 @@ class GridSpec:
     x_max: float = 0.0
 
     def __post_init__(self):
+        try:  # 7.5 is refused here, not in points(); a numpy integer is kept as an int
+            object.__setattr__(self, "n_points", operator.index(self.n_points))
+        except TypeError:
+            raise TypeError(f"n_points must be an integer, got {self.n_points!r}") from None
         if not math.isfinite(self.x_max - self.x_min):  # either bound, or a span that overflows
             raise ValueError(f"grid bounds and their span must be finite, got [{self.x_min}, {self.x_max}]")
         if self.x_min >= self.x_max:
@@ -224,11 +231,6 @@ def moment_x(state: GridState, order: int) -> float:
     return float(total * (grid.h / 3.0))
 
 
-def _simpson_abs2(d: np.ndarray, re2: np.ndarray, im2: np.ndarray, total: float) -> float:
-    """total plus the Simpson sum of |d|^2 over a block (first weight 4), formed in the rows re2 and im2."""
-    return _simpson_block(np.add(np.square(d.real, out=re2), np.square(d.imag, out=im2), out=re2), total)
-
-
 def _stencil_error(m6: float, m4: float, scale: float) -> float:
     """The 6th-order stencil error extrapolated from the 4th-order one, e4 = |m6 - m4|:
     about 1.17 * e4 * sqrt(e4/scale), kept with a safety factor of 4, and formed
@@ -242,23 +244,27 @@ def moment_p(state: GridState, order: int, *, hbar: float) -> float:
 
     order 1 returns Re Int psi* (hbar/i) psi' dx; order 2 returns
     hbar**2 Int |psi'|^2 dx (the boundary term vanishes because the
-    state is zero at the wall / in the tails).  psi' is the 6th-order
-    central difference d6 = [45 D1 - 9 D2 + D3]/(60h) of the differences
-    Dk = psi[j+k] - psi[j-k] at every point, the three missing neighbours
-    at each end taken by odd reflection through it (psi[-k] = -psi[k]),
-    which is exact at the wall and negligible in the tails.  On a grid
-    ending at the wall, order 1 subtracts Simpson's wall term.  The 4th-
-    order d4 = [8 D1 - D2]/(12h) gives e4 = m6 - m4, from which the 6th-
-    order error is extrapolated; StencilConvergenceError is raised if that
-    estimate exceeds STENCIL_RTOL * scale, the scale being |<p^n>| or, for
-    a mean too small to judge, hbar*sqrt(Int |psi'|^2); no caller sets it.
+    state is zero at the wall / in the tails).  Order 2 is the Parseval
+    sum h * sum kappa_k^2 |c_k|^2 over the orthonormal DST-I c_k of the
+    interior, kappa_k = pi k/(x_max - x_min): in the sine basis a state
+    that vanishes at both ends needs no derivative, and the sum converges
+    exponentially.  StencilConvergenceError is raised when the top eighth
+    of the modes (at least one) carries more than STENCIL_RTOL of the sum.
 
-    The points j in [3, n-3) go through _blocks as seven shifted views of
-    psi; the three at each end are Python complex values.  Order 1 is linear
-    in psi', so per block it sums Im(conj(psi) Dk) for each k and combines
-    the sums; only a mean the estimate cannot judge by its own size takes a
-    second pass, for the scale hbar*sqrt(Int |psi'|^2).  Order 2 forms d4
-    and d6 in complex rows and sums their re^2 + im^2.
+    Order 1's psi' is the 6th-order central difference d6 = [45 D1 - 9 D2
+    + D3]/(60h) of the differences Dk = psi[j+k] - psi[j-k] at every point,
+    the three missing neighbours at each end taken by odd reflection
+    through it (psi[-k] = -psi[k]), which is exact at the wall and
+    negligible in the tails; on a grid ending at the wall Simpson's wall
+    term is subtracted.  The 4th-order d4 = [8 D1 - D2]/(12h) gives
+    e4 = m6 - m4, from which the 6th-order error is extrapolated;
+    StencilConvergenceError is raised if that estimate exceeds
+    STENCIL_RTOL * scale, the scale being |<p>| or, for a mean too small
+    to judge, hbar*sqrt(Int |psi'|^2).  The points j in [3, n-3) go
+    through _blocks as seven shifted views of psi, the three at each end
+    as Python complex values; per block it sums Im(conj(psi) Dk) for each
+    k, and only a mean the estimate cannot judge by its own size takes a
+    second pass, for that scale.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
@@ -267,63 +273,53 @@ def moment_p(state: GridState, order: int, *, hbar: float) -> float:
     _check_tails(state)
     v, grid = state.values, state.grid
     h = grid.h
+    if order == 2:
+        c = _dst1(v[1:-1])
+        n, top = c.size, max(c.size // 8, 1)
+        kin = np.square(c.real)  # |c_k|^2 k^2, as kappa_k = pi k/((n+1) h)
+        kin += np.square(c.imag)
+        kin *= np.square(np.arange(1.0, n + 1.0))
+        total, tail = float(kin.sum()), float(kin[n - top :].sum())
+        if tail > STENCIL_RTOL * total:
+            raise StencilConvergenceError(
+                f"the top {top} of {n} sine modes carry {tail / total:.3e} of <p^2>, above "
+                f"{STENCIL_RTOL:g}; refine the grid (h = {h:.3e})"
+            )
+        return hbar * (hbar * (math.pi / (n + 1)) ** 2 * total / h)  # hbar**2 alone may overflow
 
     def integrand(z: complex, d1: complex, d2: complex, d3: complex) -> list[float]:
-        if order == 1:
-            c = z.conjugate()
-            return [(c * d1).imag, (c * d2).imag, (c * d3).imag, d1.real * d1.real + d1.imag * d1.imag]
-        d4, d6 = 8.0 * d1 - d2, 45.0 * d1 - 9.0 * d2 + d3
-        return [d4.real * d4.real + d4.imag * d4.imag, d6.real * d6.real + d6.imag * d6.imag]
+        c = z.conjugate()
+        return [(c * d1).imag, (c * d2).imag, (c * d3).imag, d1.real * d1.real + d1.imag * d1.imag]
 
     # Simpson sums (in units of h/3) of each integrand, first at j = 0, 1, 2 and, read
     # backwards (the differences change sign), n-1, n-2, n-3; e[k + 3] is psi[k], k >= -3
-    sums = [0.0] * (4 if order == 1 else 2)
+    sums = [0.0] * 4
     for sign, z in ((1.0, v[:6].tolist()), (-1.0, v[:-7:-1].tolist())):
         e = [-c for c in z[3:0:-1]] + z
         fs = [integrand(z[j], *[sign * (e[j + 3 + k] - e[j + 3 - k]) for k in (1, 2, 3)]) for j in (0, 1, 2)]
         sums = [s + f0 + 4.0 * f1 + 2.0 * f2 for s, f0, f1, f2 in zip(sums, *fs)]
-    if order == 1 and grid.x_max == 0.0:  # fs holds n-1, n-2, n-3; Im(conj(psi) Dk) is odd there
+    if grid.x_max == 0.0:  # fs holds n-1, n-2, n-3; Im(conj(psi) Dk) is odd there
         sums[:3] = [s - _wall_term(f2, f1) for s, f1, f2 in zip(sums[:3], fs[1], fs[2])]
     # _BLOCK is even, so every block starts at an odd j, whose Simpson weight is 4
     views = (v[3:-3], v[4:-2], v[2:-4], v[5:-1], v[1:-5], v[6:], v[:-6])
-    if order == 1:
-        for rows, vj, *pairs in _blocks(4, *views):
-            d, cj = rows[:2].reshape(-1).view(complex), rows[2:].reshape(-1).view(complex)
-            np.conjugate(vj, out=cj)
-            for k in range(3):
-                np.subtract(pairs[2 * k], pairs[2 * k + 1], out=d)
-                sums[k] = _simpson_block(np.multiply(d, cj, out=d).imag, sums[k])
-        s1, s2, s3 = (s * (h / 3.0) for s in sums[:3])
-        m6 = hbar * (45.0 * s1 - 9.0 * s2 + s3) / (60.0 * h)
-        m4 = hbar * (8.0 * s1 - s2) / (12.0 * h)
-        scale = abs(m6)
-        if _stencil_error(m6, m4, scale) > STENCIL_RTOL * scale:
-            # a mean near zero is judged against the momentum scale hbar*sqrt(Int |psi'|^2)
-            for rows, vp1, vm1 in _blocks(4, *views[1:3]):
-                d, (re2, im2) = rows[:2].reshape(-1).view(complex), rows[2:]
-                np.subtract(vp1, vm1, out=d)
-                sums[3] = _simpson_abs2(d, re2, im2, sums[3])
-            scale = max(scale, hbar * math.sqrt(sums[3] * (h / 3.0)) / (2.0 * h))
-    else:
-        for rows, _, vp1, vm1, vp2, vm2, vp3, vm3 in _blocks(6, *views):
-            a, b, d = (rows[k : k + 2].reshape(-1).view(complex) for k in (0, 2, 4))
-            re2, im2 = rows[2:4]  # b, once d holds d4
-            np.subtract(vp1, vm1, out=a)
-            np.subtract(vp2, vm2, out=b)
-            np.multiply(a, 8.0, out=d)
-            d -= b
-            sums[0] = _simpson_abs2(d, re2, im2, sums[0])
-            # d6 = 9 d4 - 27 D1 + D3
-            d *= 9.0
-            a *= 27.0
-            d -= a
-            d += vp3
-            d -= vm3
-            sums[1] = _simpson_abs2(d, re2, im2, sums[1])
-        s4, s6 = (s * (h / 3.0) for s in sums)
-        m6 = hbar**2 * s6 / (60.0 * h) ** 2
-        m4 = hbar**2 * s4 / (12.0 * h) ** 2
-        scale = abs(m6)
+    for rows, vj, *pairs in _blocks(4, *views):
+        d, cj = rows[:2].reshape(-1).view(complex), rows[2:].reshape(-1).view(complex)
+        np.conjugate(vj, out=cj)
+        for k in range(3):
+            np.subtract(pairs[2 * k], pairs[2 * k + 1], out=d)
+            sums[k] = _simpson_block(np.multiply(d, cj, out=d).imag, sums[k])
+    s1, s2, s3 = (s * (h / 3.0) for s in sums[:3])
+    m6 = hbar * (45.0 * s1 - 9.0 * s2 + s3) / (60.0 * h)
+    m4 = hbar * (8.0 * s1 - s2) / (12.0 * h)
+    scale = abs(m6)
+    if _stencil_error(m6, m4, scale) > STENCIL_RTOL * scale:
+        # a mean near zero is judged against the momentum scale hbar*sqrt(Int |psi'|^2)
+        for rows, vp1, vm1 in _blocks(4, *views[1:3]):
+            d, (re2, im2) = rows[:2].reshape(-1).view(complex), rows[2:]
+            np.subtract(vp1, vm1, out=d)
+            np.add(np.square(d.real, out=re2), np.square(d.imag, out=im2), out=re2)
+            sums[3] = _simpson_block(re2, sums[3])
+        scale = max(scale, hbar * math.sqrt(sums[3] * (h / 3.0)) / (2.0 * h))
     err_est = _stencil_error(m6, m4, scale)
     if err_est > STENCIL_RTOL * scale:
         raise StencilConvergenceError(
@@ -403,6 +399,8 @@ def _odd_at_least(n: float) -> int:
 
 def _resolved_spacing(params: PacketParams, points_per_beta: float | None, mirrored: bool) -> float:
     if points_per_beta is not None:
+        if not 0.0 < points_per_beta < math.inf:
+            raise ValueError(f"points_per_beta must be finite and > 0, got {points_per_beta!r}")
         return params.beta / points_per_beta
     # resolve the fastest oscillation in the density: the carrier (doubled
     # when a mirror partner beats against the packet), the momentum-tail
@@ -410,9 +408,8 @@ def _resolved_spacing(params: PacketParams, points_per_beta: float | None, mirro
     dp = 1.0 / (params.alpha * math.sqrt(2.0))
     carrier = (2.0 if mirrored else 1.0) * abs(params.p0)
     k_max = (carrier + 8.0 * dp) / params.hbar + 4.0 / params.beta
-    # k*h <= 0.0232: the oracle's stencils are 6th order ((k*h)^6/140 = 1.1e-12) and its
-    # wall term is subtracted, so what it leaves converges like h^6 or exponentially;
-    # at twice this spacing C02's <p^2> leaves its snapshot bound
+    # k*h <= 0.0232: <p>'s stencil is 6th order ((k*h)^6/140 = 1.1e-12) and the
+    # wall term is subtracted, so what the oracle leaves converges like h^6 or exponentially
     return min(params.beta / 100.0, 0.0232 / k_max)
 
 

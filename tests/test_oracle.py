@@ -34,7 +34,8 @@ from wallbounce.oracle import (
     sample,
     window_grid,
 )
-from wallbounce.packets import _BLOCK
+from wallbounce.packets import _BLOCK, free_moments
+from wallbounce.validation import NEAR_PARAMS
 
 
 PP = PacketParams(x0=-5.0, p0=2.0, alpha=1.0)
@@ -71,6 +72,16 @@ def test_gridspec_validation():
     g = GridSpec(-1.0, 5)
     assert g.h == 0.25
     assert g.points()[-1] == 0.0
+
+
+def test_gridspec_refuses_a_count_that_is_not_an_integer():
+    # a count that is not an integer is refused when the grid is built, not in points()
+    for count in (7.5, 7.0, "7", None):
+        with pytest.raises(TypeError, match="n_points must be an integer"):
+            GridSpec(-1.0, count)
+    g = GridSpec(-1.0, np.int64(7))  # a numpy integer is kept as an int
+    assert type(g.n_points) is int and g == GridSpec(-1.0, 7)
+    assert g.points().size == 7
 
 
 def _parent_spacing(params, points_per_beta, mirrored):
@@ -144,6 +155,14 @@ def test_window_grid_covers_each_centre_and_keeps_the_parent_grids():
             reference = _parent_full_line_grid(params, t_min, t_max, points_per_beta=ppb)
             assert _bits(grid) == _bits(reference)
     assert unchanged_half_line >= 20
+
+
+def test_window_grid_refuses_a_spacing_that_is_not_positive_and_finite():
+    # no spacing follows from these: -5 would give a 3-point grid, 0 and inf divide by zero
+    for ppb in (-5.0, 0, 0.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="points_per_beta must be finite and > 0"):
+            window_grid(DEMO, 0.0, 1.0, half_line=True, points_per_beta=ppb)
+    assert window_grid(DEMO, 0.0, 1.0, half_line=True, points_per_beta=np.float64(25.0)).n_points > 25
 
 
 def test_sample_wall_point_exact_zero():
@@ -296,10 +315,11 @@ def test_moment_p_rejects_bad_order():
 
 def test_moment_p_unresolved_grid_raises():
     bp = BouncerParams(DEMO)
-    grid = GridSpec(-60.0, 601, 0.0)  # ~6 points per carrier wavelength
+    grid = GridSpec(-60.0, 61, 0.0)  # ~1.3 points per carrier wavelength: aliased
     st = sample(lambda x, t: psi_bouncer(bp, x, t), grid, 2.0)
-    with pytest.raises(StencilConvergenceError):
-        moment_p(st, 2, hbar=1.0)
+    for order in (1, 2):
+        with pytest.raises(StencilConvergenceError):
+            moment_p(st, order, hbar=1.0)
 
 
 def test_moment_p_custom_hbar():
@@ -356,6 +376,54 @@ def test_momentum_oracle_is_at_round_off_on_automatic_grids():
         got = (moment_x(st, 1), moment_x(st, 2), moment_p(st, 1, hbar=1.0), moment_p(st, 2, hbar=1.0))
         for value, want in zip(got, (m.x_mean, m.x2_mean, m.p_mean, m.p2_mean)):
             assert abs(value - want) <= 1e-13, (t, got)
+
+
+def test_spectral_p2_matches_the_closed_forms_on_coarse_grids():
+    # <p^2> as a sine-basis Parseval sum converges exponentially: on 12 to 50
+    # points per beta it is at round-off (measured at most 9.1e-15 relative)
+    def check(wavefn, params, grid, times, p2_exact):
+        for t in times:
+            st = sample(wavefn, grid, float(t))
+            want = p2_exact(float(t))
+            assert abs(moment_p(st, 2, hbar=params.hbar) - want) <= 1e-13 * want, (params, grid, t)
+
+    for params in (DEMO, NEAR_PARAMS, PacketParams(-6.0, 2.5, 1.2, 0.7, 1.4)):
+        t_max = 3.0 * params.collision_time
+        for ppb in (12, 25, 50):
+            grid = window_grid(params, 0.0, t_max, half_line=True, points_per_beta=ppb)
+            p2 = momentum_second_moment(params)
+            check(lambda x, t: psi_bouncer(params, x, t), params, grid, np.linspace(0.0, t_max, 9), lambda t: p2)
+    # hbar**2 = 1e320 overflows, but <p^2> = 5e299 does not
+    for p, times in ((PP, (-2.0, 0.0, 3.0)), (PacketParams(0.0, 0.0, 1e-150, 1e160), (0.0,))):
+        for t in times:
+            grid = window_grid(p, t, t, half_line=False, points_per_beta=25)
+            check(lambda x, tt: psi_free(p, x, tt), p, grid, [t], lambda tt: free_moments(p, tt).p2_mean)
+    sp = PacketParams(0.0, 0.0, 1.0)
+    grid = window_grid(sp, 0.0, 3.0 * sp.t0, half_line=True, points_per_beta=25)
+    times = (0.0, sp.t0, 3.0 * sp.t0)
+    check(lambda x, t: psi_wall_packet(sp, x, t), sp, grid, times, lambda t: wall_packet_moments(sp, t).p2_mean)
+
+
+def test_spectral_p2_refusal_edges():
+    # a zero state has no modes to judge and returns 0
+    for n in (7, 9, 101):
+        assert moment_p(GridState(GridSpec(-1.0, n), np.zeros(n, dtype=complex), 0.0), 2, hbar=1.0) == 0.0
+    # below 8 interior points n // 8 is 0, and the top mode alone is judged
+    for n in (7, 9):
+        st = _kernel_state(n, seed=n)
+        with pytest.raises(StencilConvergenceError, match="the top 1 of"):
+            moment_p(st, 2, hbar=1.0)
+    # the share is a ratio, so the decision does not depend on the state's scale
+    for n, refused in ((11, True), (101, False)):
+        st = _kernel_state(n, seed=101)
+        for c in (1e-130, 1.0, 1e130):
+            scaled = GridState(st.grid, c * st.values, 0.0)
+            if refused:
+                with pytest.raises(StencilConvergenceError):
+                    moment_p(scaled, 2, hbar=1.0)
+            else:
+                want = c * c * moment_p(st, 2, hbar=1.0)
+                assert abs(moment_p(scaled, 2, hbar=1.0) - want) <= 1e-13 * want
 
 
 def test_half_line_first_moment_converges_like_h6():
@@ -570,6 +638,12 @@ def ref_differences(v):
     return [ext[3 + k : 3 + k + n] - ext[3 - k : 3 - k + n] for k in (1, 2, 3)]
 
 
+def ref_sine_coefficients(u):
+    """Orthonormal DST-I of a real vector, from the rfft of its odd extension [0, u, 0, -u reversed]."""
+    ext = np.concatenate([[0.0], u, [0.0], -u[::-1]])
+    return -np.fft.rfft(ext)[1 : u.size + 1].imag * math.sqrt(0.5 / (u.size + 1))
+
+
 def ref_moment_p(state, order, *, hbar):
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
@@ -580,30 +654,37 @@ def ref_moment_p(state, order, *, hbar):
     if not np.any(v):
         return 0.0
     h = state.grid.h
+    rtol = oracle.STENCIL_RTOL
+    if order == 2:
+        # Parseval: Int |psi'|^2 = h * sum kappa_k^2 |c_k|^2 over the interior's sine coefficients
+        n = v.size - 2
+        kappa = np.arange(1, n + 1) * (math.pi / (state.grid.x_max - state.grid.x_min))
+        energy = kappa**2 * (ref_sine_coefficients(v[1:-1].real) ** 2 + ref_sine_coefficients(v[1:-1].imag) ** 2)
+        top = max(n // 8, 1)
+        total, tail = float(np.sum(energy)), float(np.sum(energy[n - top :]))
+        if tail > rtol * total:
+            raise StencilConvergenceError(
+                f"the top {top} of {n} sine modes carry {tail / total:.3e} of <p^2>, above "
+                f"{rtol:g}; refine the grid (h = {h:.3e})"
+            )
+        return hbar**2 * h * total
     w = ref_weights(state.grid, "simpson")
     d1, d2, d3 = ref_differences(v)
     d6 = (45.0 * d1 - 9.0 * d2 + d3) / (60.0 * h)
     d4 = (8.0 * d1 - d2) / (12.0 * h)
-    if order == 1:
-        f6, f4 = hbar * np.imag(np.conj(v) * d6), hbar * np.imag(np.conj(v) * d4)
-        m6, m4 = float(np.sum(w * f6)), float(np.sum(w * f4))
-        if state.grid.x_max == 0.0:
-            # the odd integrand's Euler-Maclaurin term h^4 f'''(0)/180, f'''(0) = 6 c3
-            m6, m4 = (m - h**4 * (f[-3] - 32.0 * f[-2]) / (24.0 * h**3) / 30.0 for m, f in ((m6, f6), (m4, f4)))
-        scale = max(abs(m6), hbar * math.sqrt(float(np.sum(w * np.abs(d1 / (2.0 * h)) ** 2))))
-    else:
-        m6 = hbar**2 * float(np.sum(w * np.abs(d6) ** 2))
-        m4 = hbar**2 * float(np.sum(w * np.abs(d4) ** 2))
-        scale = abs(m6)
-    if scale > 0.0:
-        e4 = abs(m6 - m4)
-        err_est = 5.0 * e4 * math.sqrt(e4 / scale)
-        rtol = oracle.STENCIL_RTOL
-        if err_est > rtol * scale:
-            raise StencilConvergenceError(
-                f"estimated stencil error {err_est:.3e} exceeds rtol*scale = "
-                f"{rtol * scale:.3e}; refine the grid (h = {h:.3e})"
-            )
+    f6, f4 = hbar * np.imag(np.conj(v) * d6), hbar * np.imag(np.conj(v) * d4)
+    m6, m4 = float(np.sum(w * f6)), float(np.sum(w * f4))
+    if state.grid.x_max == 0.0:
+        # the odd integrand's Euler-Maclaurin term h^4 f'''(0)/180, f'''(0) = 6 c3
+        m6, m4 = (m - h**4 * (f[-3] - 32.0 * f[-2]) / (24.0 * h**3) / 30.0 for m, f in ((m6, f6), (m4, f4)))
+    scale = max(abs(m6), hbar * math.sqrt(float(np.sum(w * np.abs(d1 / (2.0 * h)) ** 2))))
+    e4 = abs(m6 - m4)
+    err_est = 5.0 * e4 * math.sqrt(e4 / scale)
+    if err_est > rtol * scale:
+        raise StencilConvergenceError(
+            f"estimated stencil error {err_est:.3e} exceeds rtol*scale = "
+            f"{rtol * scale:.3e}; refine the grid (h = {h:.3e})"
+        )
     return m6
 
 
@@ -747,7 +828,7 @@ def test_tail_checks_make_no_pass(monkeypatch):
         ("overlap", lambda: overlap(a, b), 1),  # conj(a) * b
         ("moment_x", lambda: moment_x(a, 1), 1),  # re^2 + im^2 times x
         ("moment_p 1", lambda: moment_p(a, 1, hbar=1.0), 1),  # both stencils' sums
-        ("moment_p 2", lambda: moment_p(a, 2, hbar=1.0), 1),
+        ("moment_p 2", lambda: moment_p(a, 2, hbar=1.0), 0),  # a sine transform, no block pass
         ("propagate", lambda: propagate(a, 1e-3, 10, hbar=1.0, mass=1.0), 1),  # its result
     ]:
         calls.clear()
@@ -755,17 +836,14 @@ def test_tail_checks_make_no_pass(monkeypatch):
         assert len(calls) == passes, name
 
 
-def test_moment_p_scales_with_a_large_state(monkeypatch):
+def test_moment_p_scales_with_a_large_state():
     # |m6 - m4|**1.5 would overflow here; the estimate is formed without it
     st = _kernel_state(101, seed=101)
     big = GridState(st.grid, 1e130 * st.values, 0.0)
-    coarse = _kernel_state(51, seed=101)  # too coarse for the 6th-order stencil
-    strict = oracle.STENCIL_RTOL
+    coarse = _kernel_state(11, seed=101)  # too coarse for the stencil and for the sine series
     for order in (1, 2):
-        monkeypatch.setattr(oracle, "STENCIL_RTOL", 1e3)  # <p^2> on 101 points is refused at STENCIL_RTOL
         want = 1e260 * moment_p(st, order, hbar=1.0)
         assert abs(moment_p(big, order, hbar=1.0) - want) <= 1e-12 * abs(want)
-        monkeypatch.setattr(oracle, "STENCIL_RTOL", strict)
         for state in (coarse, GridState(coarse.grid, 1e130 * coarse.values, 0.0)):  # the same decision at either scale
             with pytest.raises(StencilConvergenceError):
                 moment_p(state, order, hbar=1.0)
@@ -783,15 +861,17 @@ def _traced_peak(fn, *args, **kwargs):
 def test_moments_allocate_no_extra_squared_modulus():
     # every quadrature forms its integrand in block-sized rows: re^2 + im^2
     # times x for moment_x, whose only grid-sized array is the x grid (8 bytes
-    # a point) at order >= 1; moment_p and overlap hold their differences and
-    # products there too
+    # a point) at order >= 1; moment_p order 1 and overlap hold their
+    # differences and products there too.  moment_p order 2 is a sine
+    # transform: _dst1 holds the 2(n + 1)-point complex odd extension (32 bytes
+    # a point), the FFT's output (32) and the scaled coefficients (16) at once
     grid = GridSpec(-30.0, 600_001, 30.0)
     state = sample(lambda x, t: psi_free(PP, x, t), grid, 0.0)
     n = grid.n_points
     assert _traced_peak(moment_x, state, 0) <= 0.25 * 8 * n
     assert _traced_peak(moment_x, state, 1) <= 1.25 * 8 * n
     assert _traced_peak(moment_p, state, 1, hbar=1.0) <= 0.25 * 8 * n
-    assert _traced_peak(moment_p, state, 2, hbar=1.0) <= 0.25 * 8 * n
+    assert _traced_peak(moment_p, state, 2, hbar=1.0) <= (80 + 0.25 * 8) * n
     assert _traced_peak(overlap, state, state) <= 0.25 * 8 * n
 
 
