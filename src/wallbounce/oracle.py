@@ -9,13 +9,14 @@ packet included, on the half line.
 
 Position moments, <p> and overlaps are composite-Simpson quadratures
 whose integrands are formed in the block-sized rows of packets._blocks;
-only moment_x's x grid (order >= 1) is grid-sized.  <p> takes a
-6th-order central difference at every point, with the missing neighbours
-at each end odd-reflected through it, and a 4th-order one for an error
-estimate; an integrand odd about the wall (<x> and <p> on a half-line
-grid) has Simpson's Euler-Maclaurin term subtracted there, so what the
-oracle leaves converges like h^6 or exponentially.  <p^2> is a Parseval
-sum over the state's sine coefficients, which converges exponentially.
+only moment_x's x grid (order >= 1) is grid-sized, and moment_x rounds
+its sum once.  <p> takes an 8th-order central difference at every point,
+with the missing neighbours at each end odd-reflected through it, and a
+6th-order one for an error estimate; an integrand odd about the wall
+(<x> and <p> on a half-line grid) has Simpson's h^4 and h^6
+Euler-Maclaurin terms subtracted there, so what the oracle leaves
+converges like h^8 or exponentially.  <p^2> is a Parseval sum over the
+state's sine coefficients, which converges exponentially.
 Both momentum moments refuse a grid at STENCIL_RTOL.  Every sum is numpy's
 pairwise .sum(), never dot/vdot/einsum/matmul: a BLAS reduction rounds
 differently with the thread count, making output bytes depend on the host.
@@ -192,13 +193,14 @@ def _check_tails(state: GridState) -> None:
             )
 
 
-def _wall_term(f_2h: float, f_h: float) -> float:
-    """Simpson's Euler-Maclaurin term at a wall x_max = 0, in units of h/3, from an
-    integrand's last two interior values f(-2h) and f(-h).  An integrand odd about
-    the wall, f = c3 x^3 + c5 x^5 + ... (x|psi|^2 and Im(psi* psi') are, as psi and
-    psi'' vanish there), has a Simpson sum h^4 f'''(0)/180 = h^4 c3/30 above its
-    integral, and (f(-2h) - 32 f(-h))/(24 h^3) is c3 with the c5 term cancelled."""
-    return (f_2h - 32.0 * f_h) / 240.0
+def _wall_term(f_3h: float, f_2h: float, f_h: float) -> float:
+    """Simpson's Euler-Maclaurin terms at a wall x_max = 0, in units of h/3, from an
+    integrand's last three interior values f(-3h), f(-2h) and f(-h).  An integrand odd
+    about the wall, f = c3 x^3 + c5 x^5 + c7 x^7 + ... (x|psi|^2 and Im(psi* psi') are,
+    as psi and psi'' vanish there), has a Simpson sum h^4 f'''(0)/180 - h^6 f^(5)(0)/1512
+    + O(h^8) = h (c3 h^3/30 - 5 c5 h^5/63) + O(h^9) above its integral; the three values
+    give c3 h^3 and c5 h^5 with the c7 term cancelled."""
+    return (6201.0 * f_2h - 63270.0 * f_h - 334.0 * f_3h) / 226800.0
 
 
 def moment_x(state: GridState, order: int) -> float:
@@ -209,34 +211,52 @@ def moment_x(state: GridState, order: int) -> float:
     Per block of the interior one row holds re^2 + im^2, times x order times;
     the two ends repeat * as well, since x**order can raise OverflowError.
     On a grid ending at the wall an odd order's integrand is odd there, so
-    Simpson's wall term is subtracted.
+    Simpson's two wall terms are subtracted.
+
+    The interior's sum is split at sigma, a power of two above 8n max|f|:
+    the parts (f + sigma) - sigma are multiples of ulp(sigma)/2 and sum
+    exactly in any order, and the rest of each f, below ulp(sigma), sums
+    with an error far below the result's ulp.  So the result is its terms'
+    sum rounded once, not the pairwise partial sums' roundings, which a
+    last-bit change in psi (numpy's SIMD loops differ there) can move by
+    an ulp, and which a second difference of <x> amplifies.
     """
     if order < 0 or int(order) != order:
         raise ValueError(f"order must be a nonnegative integer, got {order!r}")
     _check_tails(state)
     order, v, grid = int(order), state.values, state.grid
-    # the ends, and the last two interior points for the wall term
-    xs = (grid.x_min, grid.x_max - 2.0 * grid.h, grid.x_max - grid.h, grid.x_max)
-    zs = v[[0, -3, -2, -1]].tolist()
+    # the ends, and the last three interior points for the wall terms; a 3-point
+    # grid's -3h lies beyond x_min, where the tail check found the state negligible
+    xs = (grid.x_min, *(grid.x_max - k * grid.h for k in (3.0, 2.0, 1.0)), grid.x_max)
+    zs = v[:1].tolist() + [0j] * (4 - v.size) + v[-4:].tolist()
     f = [math.prod([x] * order, start=z.real * z.real + z.imag * z.imag) for z, x in zip(zs, xs)]
-    total = f[0] + f[3]
+    total = f[0] + f[4]
     if order % 2 and grid.x_max == 0.0:
-        total -= _wall_term(f[1], f[2])
+        total -= _wall_term(*f[1:4])
+    # sigma from exponents, as max|f| may overflow; no split where sigma would
+    e = math.frexp(state.peak2)[1] + order * math.frexp(max(-grid.x_min, grid.x_max))[1] + (8 * v.size).bit_length()
+    sigma = math.ldexp(1.0, e) if state.peak2 < math.inf and e < 1024 else 0.0
+    exact = 0.0
     interior = (v[1:-1], grid.points()[1:-1]) if order else (v[1:-1],)
     for (re2, im2), vb, *xb in _blocks(2, *interior):
         np.add(np.square(vb.real, out=re2), np.square(vb.imag, out=im2), out=re2)
         for x in xb * order:
             re2 *= x
+        if sigma:  # im2 takes the part that sums exactly, re2 keeps the rest
+            np.add(re2, sigma, out=im2)
+            im2 -= sigma
+            re2 -= im2
+            exact = _simpson_block(im2, exact)
         total = _simpson_block(re2, total)
-    return float(total * (grid.h / 3.0))
+    return float((exact + total) * (grid.h / 3.0))
 
 
-def _stencil_error(m6: float, m4: float, scale: float) -> float:
-    """The 6th-order stencil error extrapolated from the 4th-order one, e4 = |m6 - m4|:
-    about 1.17 * e4 * sqrt(e4/scale), kept with a safety factor of 4, and formed
-    without e4**1.5, which may overflow; 0 for a zero scale."""
-    e4 = abs(m6 - m4)
-    return 5.0 * e4 * math.sqrt(e4 / scale) if scale > 0.0 else 0.0
+def _stencil_error(m8: float, m6: float, scale: float) -> float:
+    """The 8th-order stencil error extrapolated from the 6th-order one, e6 = |m8 - m6|:
+    about 1.15 * e6 * (e6/scale)**(1/3), kept with a safety factor of 4, and formed
+    without e6**(4/3), which may overflow; 0 for a zero scale."""
+    e6 = abs(m8 - m6)
+    return 5.0 * e6 * (e6 / scale) ** (1.0 / 3.0) if scale > 0.0 else 0.0
 
 
 def moment_p(state: GridState, order: int, *, hbar: float) -> float:
@@ -251,20 +271,23 @@ def moment_p(state: GridState, order: int, *, hbar: float) -> float:
     exponentially.  StencilConvergenceError is raised when the top eighth
     of the modes (at least one) carries more than STENCIL_RTOL of the sum.
 
-    Order 1's psi' is the 6th-order central difference d6 = [45 D1 - 9 D2
-    + D3]/(60h) of the differences Dk = psi[j+k] - psi[j-k] at every point,
-    the three missing neighbours at each end taken by odd reflection
-    through it (psi[-k] = -psi[k]), which is exact at the wall and
-    negligible in the tails; on a grid ending at the wall Simpson's wall
-    term is subtracted.  The 4th-order d4 = [8 D1 - D2]/(12h) gives
-    e4 = m6 - m4, from which the 6th-order error is extrapolated;
+    Order 1's psi' is the 8th-order central difference d8 = [672 D1 - 168 D2
+    + 32 D3 - 3 D4]/(840h) of the differences Dk = psi[j+k] - psi[j-k] at
+    every point, the four missing neighbours at each end taken by odd
+    reflection through it (psi[-k] = -psi[k]), which is exact at the wall
+    and negligible in the tails; on a grid ending at the wall Simpson's two
+    wall terms are subtracted.  The 6th-order d6 = [45 D1 - 9 D2 + D3]/(60h)
+    gives e6 = m8 - m6, from which the 8th-order error is extrapolated;
     StencilConvergenceError is raised if that estimate exceeds
     STENCIL_RTOL * scale, the scale being |<p>| or, for a mean too small
-    to judge, hbar*sqrt(Int |psi'|^2).  The points j in [3, n-3) go
-    through _blocks as seven shifted views of psi, the three at each end
-    as Python complex values; per block it sums Im(conj(psi) Dk) for each
-    k, and only a mean the estimate cannot judge by its own size takes a
-    second pass, for that scale.
+    to judge, hbar*sqrt(Int |psi'|^2).  <p> is linear in psi', so four
+    sums S_k = Sum_j w_j Im(conj(psi_j) Dk) are formed and combined, w being
+    Simpson's weights.  Each is taken over pairs, one product a pair: with
+    Q_k(i) = Im(conj(psi_i) psi_{i+k}), S_k = Sum_i (w_i + w_{i+k}) Q_k(i).
+    The pairs whose left point i is in [1, n-5) go through _blocks as five
+    shifted views of psi, the others as Python complex values; only a mean
+    the estimate cannot judge by its own size takes a second pass, for
+    that scale.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
@@ -287,46 +310,56 @@ def moment_p(state: GridState, order: int, *, hbar: float) -> float:
             )
         return hbar * (hbar * (math.pi / (n + 1)) ** 2 * total / h)  # hbar**2 alone may overflow
 
-    def integrand(z: complex, d1: complex, d2: complex, d3: complex) -> list[float]:
-        c = z.conjugate()
-        return [(c * d1).imag, (c * d2).imag, (c * d3).imag, d1.real * d1.real + d1.imag * d1.imag]
-
-    # Simpson sums (in units of h/3) of each integrand, first at j = 0, 1, 2 and, read
-    # backwards (the differences change sign), n-1, n-2, n-3; e[k + 3] is psi[k], k >= -3
+    # S_k in units of h/3 (w is 0 beyond the ends, as Im(conj(psi_j) Dk) = Q_k(j) + Q_k(j-k)).
+    # First the pairs whose left point is not in [1, n-5), as Python complex values: the five
+    # points nearest x_min, and the eight nearest x_max read backwards (Q_k changes sign there),
+    # each continued by odd reflection through its end, so that e[i + 4] is psi i points in from
+    # that end (on a 7-point grid the eighth from x_max is psi[-1])
+    n = v.size
+    head, tail = v[:5].tolist(), v[:-9:-1].tolist()
+    if n == 7:
+        tail.append(-head[1])
+    eh, et = ([-c for c in z[4:0:-1]] + z for z in (head, tail))
+    w = (0.0, 0.0, 0.0, 0.0, 1.0, 4.0, 2.0, 4.0, 2.0)  # w[i + 4], the same from either end
     sums = [0.0] * 4
-    for sign, z in ((1.0, v[:6].tolist()), (-1.0, v[:-7:-1].tolist())):
-        e = [-c for c in z[3:0:-1]] + z
-        fs = [integrand(z[j], *[sign * (e[j + 3 + k] - e[j + 3 - k]) for k in (1, 2, 3)]) for j in (0, 1, 2)]
-        sums = [s + f0 + 4.0 * f1 + 2.0 * f2 for s, f0, f1, f2 in zip(sums, *fs)]
-    if grid.x_max == 0.0:  # fs holds n-1, n-2, n-3; Im(conj(psi) Dk) is odd there
-        sums[:3] = [s - _wall_term(f2, f1) for s, f1, f2 in zip(sums[:3], fs[1], fs[2])]
-    # _BLOCK is even, so every block starts at an odd j, whose Simpson weight is 4
-    views = (v[3:-3], v[4:-2], v[2:-4], v[5:-1], v[1:-5], v[6:], v[:-6])
-    for rows, vj, *pairs in _blocks(4, *views):
-        d, cj = rows[:2].reshape(-1).view(complex), rows[2:].reshape(-1).view(complex)
-        np.conjugate(vj, out=cj)
-        for k in range(3):
-            np.subtract(pairs[2 * k], pairs[2 * k + 1], out=d)
-            sums[k] = _simpson_block(np.multiply(d, cj, out=d).imag, sums[k])
-    s1, s2, s3 = (s * (h / 3.0) for s in sums[:3])
+    for k in (1, 2, 3, 4):
+        for sign, e, lefts in ((1.0, eh, range(4 - k, 5)), (-1.0, et, range(4 - k, 9 - k))):
+            for a in lefts:
+                sums[k - 1] += sign * (w[a] + w[a + k]) * (e[a].conjugate() * e[a + k]).imag
+    if grid.x_max == 0.0:  # Im(conj(psi) Dk) is odd about the wall: subtract the wall terms
+        for k in (1, 2, 3, 4):  # from its values at -h, -2h and -3h
+            f = [-(et[a].conjugate() * (et[a + k] - et[a - k])).imag for a in (7, 6, 5)]
+            sums[k - 1] -= _wall_term(*f)
+    # every pair whose left point is in [1, n-5) has two interior points, so w_i + w_{i+k} is 6
+    # for an odd k and 2 w_i for an even one; _BLOCK is even, so every block starts at an odd i
+    views = [v[1 + k : n - 5 + k] for k in range(5)]
+    for rows, vi, *right in _blocks(4, *views):
+        q, cj = rows[:2].reshape(-1).view(complex), rows[2:].reshape(-1).view(complex)
+        np.conjugate(vi, out=cj)
+        for k, vk in enumerate(right, 1):
+            im = np.multiply(cj, vk, out=q).imag
+            sums[k - 1] += 6.0 * im.sum() if k % 2 else 2.0 * _simpson_block(im)
+    s1, s2, s3, s4 = (s * (h / 3.0) for s in sums)
+    m8 = hbar * (672.0 * s1 - 168.0 * s2 + 32.0 * s3 - 3.0 * s4) / (840.0 * h)
     m6 = hbar * (45.0 * s1 - 9.0 * s2 + s3) / (60.0 * h)
-    m4 = hbar * (8.0 * s1 - s2) / (12.0 * h)
-    scale = abs(m6)
-    if _stencil_error(m6, m4, scale) > STENCIL_RTOL * scale:
-        # a mean near zero is judged against the momentum scale hbar*sqrt(Int |psi'|^2)
-        for rows, vp1, vm1 in _blocks(4, *views[1:3]):
+    scale = abs(m8)
+    if _stencil_error(m8, m6, scale) > STENCIL_RTOL * scale:
+        # a mean near zero is judged against the momentum scale hbar*sqrt(Int |psi'|^2), from
+        # D1, which is 2 psi[1] at j = 0 and -2 psi[n-2] at j = n - 1
+        total = 4.0 * sum(z.real * z.real + z.imag * z.imag for z in (head[1], tail[1]))
+        for rows, vp1, vm1 in _blocks(4, v[2:], v[:-2]):
             d, (re2, im2) = rows[:2].reshape(-1).view(complex), rows[2:]
             np.subtract(vp1, vm1, out=d)
             np.add(np.square(d.real, out=re2), np.square(d.imag, out=im2), out=re2)
-            sums[3] = _simpson_block(re2, sums[3])
-        scale = max(scale, hbar * math.sqrt(sums[3] * (h / 3.0)) / (2.0 * h))
-    err_est = _stencil_error(m6, m4, scale)
+            total = _simpson_block(re2, total)
+        scale = max(scale, hbar * math.sqrt(total * (h / 3.0)) / (2.0 * h))
+    err_est = _stencil_error(m8, m6, scale)
     if err_est > STENCIL_RTOL * scale:
         raise StencilConvergenceError(
             f"estimated stencil error {err_est:.3e} exceeds rtol*scale = "
             f"{STENCIL_RTOL * scale:.3e}; refine the grid (h = {h:.3e})"
         )
-    return m6
+    return m8
 
 
 def overlap(a: GridState, b: GridState) -> complex:
@@ -408,9 +441,9 @@ def _resolved_spacing(params: PacketParams, points_per_beta: float | None, mirro
     dp = 1.0 / (params.alpha * math.sqrt(2.0))
     carrier = (2.0 if mirrored else 1.0) * abs(params.p0)
     k_max = (carrier + 8.0 * dp) / params.hbar + 4.0 / params.beta
-    # k*h <= 0.0232: <p>'s stencil is 6th order ((k*h)^6/140 = 1.1e-12) and the
-    # wall term is subtracted, so what the oracle leaves converges like h^6 or exponentially
-    return min(params.beta / 100.0, 0.0232 / k_max)
+    # k*h <= 0.0464: <p>'s stencil is 8th order ((k*h)^8/630 = 3.4e-14) and two wall
+    # terms are subtracted, so what the oracle leaves converges like h^8 or exponentially
+    return 0.0464 / k_max
 
 
 def window_grid(

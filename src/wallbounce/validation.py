@@ -6,9 +6,11 @@ never raises (errors are recorded as failures).  Every check builds its
 own grid, and no caller can replace it: the grids and step sizes below
 were fixed by a halving convergence study, and the quadrature grids
 come from the oscillation-aware defaults in :mod:`wallbounce.oracle`,
-whose spacing the latest halving study (CHANGES.md, under the 6th-order
-momentum oracle) doubled.  C02's even moments need no such grid: on 25
-points per beta the sine-basis <p^2> and Simpson's <x^2> are at round-off.
+whose spacing the latest halving study (CHANGES.md, under the 8th-order
+momentum oracle) doubled again.  C02's even moments need no such grid: on
+25 points per beta the sine-basis <p^2> and Simpson's <x^2> are at
+round-off.  C11's hand grids round up to a count n whose n - 1 is
+7-smooth, so propagate's sine transforms are fast FFT lengths.
 """
 
 from __future__ import annotations
@@ -259,11 +261,25 @@ def _check_zero_distance_limit():
     return passed, detail, {"worst": worst}
 
 
+def _smooth_odd_at_least(n: int) -> int:
+    """The least odd m >= n with no prime factor above 7 in m - 1: propagate's sine
+    transforms of the m - 2 interior points are FFTs of length 2(m - 1)."""
+    m = n | 1
+    while True:
+        k = m - 1
+        for p in (2, 3, 5, 7):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 2
+
+
 def _propagation_error(params: PacketParams, points_per_beta: int, dt_divisor: int) -> float:
     t_final = 2.0 * params.collision_time
     pad = 8.0 * params.beta_t(t_final)
     h = params.beta / points_per_beta
-    n = int(math.ceil((pad + abs(params.x0)) / h)) | 1
+    n = _smooth_odd_at_least(int(math.ceil((pad + abs(params.x0)) / h)))
     grid = GridSpec(params.x0 - pad, n, 0.0)
     dt = params.t0 / dt_divisor
     steps = int(round(t_final / dt))

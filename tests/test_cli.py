@@ -357,9 +357,9 @@ def test_validate_text_columns_have_no_units(tmp_path):
     "argv",
     [
         ["density", "--tmax", "1e4"],  # the automatic grid would take 7.7e6 points
-        ["moments", "--tmax", "1e4"],  # 1.4e8 points
+        ["moments", "--tmax", "1e4"],  # 7.2e7 points
         ["density", "--xmin", "-50", "--nx", "100000001"],
-        ["moments", "--tmax", "300"],  # 4.31e6 points, over the budget
+        ["moments", "--tmax", "1000"],  # 7.2e6 points, over the budget
         ["autocorr", "--tmax", "1e4"],
         ["density", "--xmin", "-50", "--nx", "1000"],  # even
         # pad * beta_t is below the spacing of doubles at x0: the window has no width
@@ -391,12 +391,12 @@ def test_far_hand_grid_writes_finite_densities(tmp_path):
 
 
 def test_large_window_runs_within_the_budget(tmp_path):
-    # 2.1e6 points: the 6th-order momentum oracle lets the grid spacing double,
-    # so this window, once 4.2e6 points and refused, now fits; <p> is +-p0
-    code, out = run_cli(tmp_path, "moments", "--tmax", "147", "--nt", "2")
+    # 2,156,333 points: the 8th-order momentum oracle lets the grid spacing double
+    # again, so this window, once 4.3e6 points and refused, now fits; <p> is +-p0
+    code, out = run_cli(tmp_path, "moments", "--tmax", "300", "--nt", "2")
     assert code == 0
     rows = read_csv(out)[1]
-    assert [float(r["t"]) for r in rows] == [0.0, 147.0]
+    assert [float(r["t"]) for r in rows] == [0.0, 300.0]
     for r, p_mean in zip(rows, (5.0, -5.0)):
         assert abs(float(r["p_mean_numeric"]) - p_mean) <= 1e-12 * abs(p_mean), r
 

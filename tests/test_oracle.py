@@ -86,13 +86,15 @@ def test_gridspec_refuses_a_count_that_is_not_an_integer():
 
 def _parent_spacing(params, points_per_beta, mirrored):
     # the grid rules before window_grid, frozen as the reference for it, at
-    # the spacing the 6th-order momentum oracle allows (k*h <= 0.0232)
+    # the spacing the 8th-order momentum oracle allows (k*h <= 0.0464); the cap
+    # at beta/100, which window_grid no longer has, is never the smaller, as
+    # k_max*beta >= 4 + 8/sqrt(2)
     if points_per_beta is not None:
         return params.beta / points_per_beta
     dp = 1.0 / (params.alpha * math.sqrt(2.0))
     carrier = (2.0 if mirrored else 1.0) * abs(params.p0)
     k_max = (carrier + 8.0 * dp) / params.hbar + 4.0 / params.beta
-    return min(params.beta / 100.0, 0.0232 / k_max)
+    return min(params.beta / 100.0, 0.0464 / k_max)
 
 
 def _parent_odd_at_least(n):
@@ -228,10 +230,11 @@ def test_simpson_toy_values_by_hand():
     assert moment_x(st, 0) == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert moment_x(st, 1) == pytest.approx(1.0 / 3.0, rel=1e-15)
     # on [-1, 0], which ends at the wall, the first moment is -1/3 less the
-    # wall term h/3 * (f(-2h) - 32 f(-h))/240 = 1/6 * (0 + 32/2)/240 = 1/90
+    # wall terms h/3 * (6201 f(-2h) - 63270 f(-h) - 334 f(-3h))/226800, with
+    # f(-3h) beyond x_min taken as 0: 1/6 * (63270/2)/226800 = 703/30240
     st = GridState(GridSpec(-1.0, 3), psi, 0.0)
     assert moment_x(st, 0) == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert moment_x(st, 1) == pytest.approx(-1.0 / 3.0 - 1.0 / 90.0, rel=1e-15)
+    assert moment_x(st, 1) == pytest.approx(-1.0 / 3.0 - 703.0 / 30240.0, rel=1e-15)
 
 
 def test_simpson_exact_for_cubics():
@@ -259,6 +262,28 @@ def test_simpson_fourth_order_richardson():
 
     for coarse, fine in ((25, 49), (49, 97), (97, 193)):
         assert 13.0 < err(coarse) / err(fine) < 19.0
+
+
+def test_moment_x_rounds_its_sum_once(monkeypatch):
+    # the split at sigma makes moment_x the sum of its Simpson terms rounded once:
+    # equal, bit for bit, to math.fsum of the same terms, whatever the block size
+    import wallbounce.packets
+
+    states = [_kernel_state(n, seed=n) for n in (101, 2 * _BLOCK + 9, 40001)]
+    bp = BouncerParams(DEMO)
+    states.append(sample(lambda x, t: psi_bouncer(bp, x, t), window_grid(bp, 0.0, 1.0, half_line=False), 1.0))
+    for st in states:
+        x, h = st.grid.points(), st.grid.h
+        w = ref_weights(st.grid, "simpson") / (h / 3.0)  # 1, 4, 2, ..., 4, 1: exact
+        for order in (0, 1, 2):
+            f = np.square(st.values.real) + np.square(st.values.imag)
+            for _ in range(order):
+                f *= x
+            want = math.fsum((w * f).tolist()) * (h / 3.0)
+            assert moment_x(st, order) == want, (st.grid, order)
+            monkeypatch.setattr(wallbounce.packets, "_BLOCK", 2**10)
+            assert moment_x(st, order) == want, (st.grid, order)
+            monkeypatch.undo()
 
 
 def test_trapezoid_cross_check_rule():
@@ -351,11 +376,11 @@ def test_stencil_tolerance_cannot_be_passed():
 
 
 def test_momentum_oracle_is_at_round_off_on_automatic_grids():
-    # the 6th-order stencil, odd reflection at both ends and the wall term leave
-    # round-off on the automatic grids (the 4th-order oracle left about 5e-11 on
-    # the free <p>, 6.5e-12 on the bouncer's <p^2> and 2.8e-11 on C08's grid).
-    # The free draws keep p0/hbar below the envelope's share of the spacing
-    # rule's k_max: where the carrier sets it, (k h)^6/140 nears 1e-12.
+    # the 8th-order stencil, odd reflection at both ends and the two wall terms
+    # leave round-off on the automatic grids (the 4th-order oracle left about
+    # 5e-11 on the free <p>, 6.5e-12 on the bouncer's <p^2> and 2.8e-11 on C08's
+    # grid).  The free draws keep p0/hbar below the envelope's share of the
+    # spacing rule's k_max: where the carrier sets it, (k h)^8/630 nears 3e-14.
     rng = np.random.default_rng(606)
     for _ in range(12):
         alpha, hbar, mass = (10.0 ** rng.uniform(-0.3, 0.3, 3)).tolist()
@@ -426,18 +451,49 @@ def test_spectral_p2_refusal_edges():
                 assert abs(moment_p(scaled, 2, hbar=1.0) - want) <= 1e-13 * want
 
 
-def test_half_line_first_moment_converges_like_h6():
-    # x|psi|^2 is odd about the wall, so Simpson's rule alone keeps an h^4 term
-    # there; with the wall term subtracted each halving of h cuts the error of
-    # the default bouncer's <x> at t_c about 64 times
+def test_half_line_odd_moments_converge_like_h8():
+    # x|psi|^2 and Im(conj(psi) psi') are odd about the wall, so Simpson's rule
+    # alone keeps h^4 and h^6 terms there; with both subtracted, and psi' from
+    # the 8th-order stencil, each halving of h cuts the error of the default
+    # bouncer's <x> and <p> at t_c about 256 times
     bp = BouncerParams(DEMO)
     tc = bp.collision_time
-    sizes = [2**k + 1 for k in (10, 11, 12, 13, 15)]  # the last one as the reference
-    means = [moment_x(sample(lambda x, t: psi_bouncer(bp, x, t), GridSpec(-60.0, n), tc), 1) for n in sizes]
-    errors = [abs(m - means[-1]) for m in means[:-1]]
-    assert errors[-1] > 1e-13  # still well above round-off
-    for coarse, half in zip(errors, errors[1:]):
-        assert coarse / half > 50.0, errors
+    sizes = (9, 10, 11, 12, 16)  # log2(n - 1); the last one as the reference
+    states = {k: sample(lambda x, t: psi_bouncer(bp, x, t), GridSpec(-60.0, 2**k + 1), tc) for k in sizes}
+    # <p> on 2**9 + 1 points is refused: about 3 points per carrier wavelength
+    x_mean, p_mean = (lambda st: moment_x(st, 1)), (lambda st: moment_p(st, 1, hbar=1.0))
+    for moment, ks in ((x_mean, (9, 10, 11, 12)), (p_mean, (10, 11, 12))):
+        reference = moment(states[16])
+        errors = [abs(moment(states[k]) - reference) for k in ks]
+        assert errors[-1] > 1e-13  # still well above round-off
+        for coarse, half in zip(errors, errors[1:]):
+            assert 200.0 < coarse / half < 400.0, errors
+
+
+def test_odd_moments_on_the_automatic_spacing_match_a_finer_grid():
+    # at k_max*h = 0.0464 the 8th-order <p> and the two wall terms are at
+    # round-off: each grid agrees with one 4 times finer to 2e-14 hbar/beta in
+    # <p> and 2e-14 beta_t in <x> (the 6th-order oracle left 1.4e-13 in <p> there)
+    cases = [
+        (DEMO, psi_bouncer),
+        (NEAR_PARAMS, psi_bouncer),
+        (PacketParams(-0.5, 0.3, 1.1), psi_bouncer),  # near the wall, z = 0.32
+        (PacketParams(-6.0, 2.5, 1.2, 0.7, 1.4), psi_bouncer),
+        (PacketParams(0.0, 0.0, 1.0), psi_wall_packet),
+    ]
+    for params, psi in cases:
+        t_max = 3.0 * (params.collision_time if params.p0 else params.t0)
+        k_max = (2.0 * abs(params.p0) + 8.0 / (params.alpha * math.sqrt(2.0))) / params.hbar + 4.0 / params.beta
+        x_min = window_grid(params, 0.0, t_max, half_line=True).x_min
+        grid = GridSpec(x_min, _parent_odd_at_least(-x_min / (0.0464 / k_max) + 1.0))
+        finer = GridSpec(x_min, 4 * (grid.n_points - 1) + 1)
+        for t in np.linspace(0.0, t_max, 7):
+            coarse, fine = (sample(lambda x, tt: psi(params, x, tt), g, float(t)) for g in (grid, finer))
+            p_err = abs(moment_p(coarse, 1, hbar=params.hbar) - moment_p(fine, 1, hbar=params.hbar))
+            x_err = abs(moment_x(coarse, 1) - moment_x(fine, 1))
+            assert p_err <= 2e-14 * params.hbar / params.beta, (params, t, p_err)
+            assert x_err <= 2e-14 * params.beta_t(float(t)), (params, t, x_err)
+        assert window_grid(params, 0.0, t_max, half_line=True) == grid
 
 
 # ------------------------------------------------------------------ overlap
@@ -628,14 +684,28 @@ def ref_moment_x(state, order, rule="simpson"):
     w = ref_weights(state.grid, rule)
     if order == 0:
         return float(np.sum(w * density))
-    return float(np.sum(w * x ** int(order) * density))
+    f = x ** int(order) * density
+    odd_at_wall = rule == "simpson" and order % 2 and state.grid.x_max == 0.0
+    return float(np.sum(w * f)) - (ref_wall_terms(f, state.grid.h) if odd_at_wall else 0.0)
+
+
+def ref_wall_terms(f, h):
+    """Simpson's Euler-Maclaurin terms h^4 f3/180 - h^6 f5/1512 at a wall x = 0, f3 and
+    f5 the third and fifth derivatives there of an odd integrand sampled as f, from the
+    fit c3 x^3 + c5 x^5 + c7 x^7 through its last three interior values (a value beyond
+    the grid's far end is 0)."""
+    last = np.concatenate([np.zeros(3), f[:-1]])[-3:]  # f(-3h), f(-2h), f(-h)
+    m = np.array([3.0, 2.0, 1.0])
+    # a = c3 h^3, b = c5 h^5 and c = c7 h^7 from f(-mh) = -(a m^3 + b m^5 + c m^7)
+    a, b, _ = np.linalg.solve(-np.stack([m**3, m**5, m**7], axis=1), last)
+    return h * (6.0 * a / 180.0 - 120.0 * b / 1512.0)
 
 
 def ref_differences(v):
-    """D_k = v[j+k] - v[j-k] for k = 1, 2, 3 at every j, v odd-reflected through each end."""
-    ext = np.concatenate([-v[3:0:-1], v, -v[-2:-5:-1]])
+    """D_k = v[j+k] - v[j-k] for k = 1, 2, 3, 4 at every j, v odd-reflected through each end."""
+    ext = np.concatenate([-v[4:0:-1], v, -v[-2:-6:-1]])
     n = v.size
-    return [ext[3 + k : 3 + k + n] - ext[3 - k : 3 - k + n] for k in (1, 2, 3)]
+    return [ext[4 + k : 4 + k + n] - ext[4 - k : 4 - k + n] for k in (1, 2, 3, 4)]
 
 
 def ref_sine_coefficients(u):
@@ -669,23 +739,22 @@ def ref_moment_p(state, order, *, hbar):
             )
         return hbar**2 * h * total
     w = ref_weights(state.grid, "simpson")
-    d1, d2, d3 = ref_differences(v)
+    d1, d2, d3, d4 = ref_differences(v)
+    d8 = (672.0 * d1 - 168.0 * d2 + 32.0 * d3 - 3.0 * d4) / (840.0 * h)
     d6 = (45.0 * d1 - 9.0 * d2 + d3) / (60.0 * h)
-    d4 = (8.0 * d1 - d2) / (12.0 * h)
-    f6, f4 = hbar * np.imag(np.conj(v) * d6), hbar * np.imag(np.conj(v) * d4)
-    m6, m4 = float(np.sum(w * f6)), float(np.sum(w * f4))
-    if state.grid.x_max == 0.0:
-        # the odd integrand's Euler-Maclaurin term h^4 f'''(0)/180, f'''(0) = 6 c3
-        m6, m4 = (m - h**4 * (f[-3] - 32.0 * f[-2]) / (24.0 * h**3) / 30.0 for m, f in ((m6, f6), (m4, f4)))
-    scale = max(abs(m6), hbar * math.sqrt(float(np.sum(w * np.abs(d1 / (2.0 * h)) ** 2))))
-    e4 = abs(m6 - m4)
-    err_est = 5.0 * e4 * math.sqrt(e4 / scale)
+    f8, f6 = hbar * np.imag(np.conj(v) * d8), hbar * np.imag(np.conj(v) * d6)
+    m8, m6 = float(np.sum(w * f8)), float(np.sum(w * f6))
+    if state.grid.x_max == 0.0:  # both integrands are odd about the wall
+        m8, m6 = (m - ref_wall_terms(f, h) for m, f in ((m8, f8), (m6, f6)))
+    scale = max(abs(m8), hbar * math.sqrt(float(np.sum(w * np.abs(d1 / (2.0 * h)) ** 2))))
+    e6 = abs(m8 - m6)
+    err_est = 5.0 * e6 * (e6 / scale) ** (1.0 / 3.0)
     if err_est > rtol * scale:
         raise StencilConvergenceError(
             f"estimated stencil error {err_est:.3e} exceeds rtol*scale = "
             f"{rtol * scale:.3e}; refine the grid (h = {h:.3e})"
         )
-    return m6
+    return m8
 
 
 def ref_overlap(a, b):
@@ -712,14 +781,14 @@ ENVELOPES = {
 }
 
 
-def _kernel_state(n, seed, envelope="closed"):
-    """A seeded smooth state on [-1.5, 0.5]: an envelope times three random plane waves."""
-    grid = GridSpec(-1.5, n, 0.5)
+def _kernel_state(n, seed, envelope="closed", x_max=0.5):
+    """A seeded smooth state on [x_max - 2, x_max]: an envelope times three random plane waves."""
+    grid = GridSpec(x_max - 2.0, n, x_max)
     x = grid.points()
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=3) + 1j * rng.normal(size=3)
     waves = sum(a * np.exp(1j * k * x) for a, k in zip(amps, rng.uniform(-12.0, 12.0, 3)))
-    return GridState(grid, ENVELOPES[envelope](0.5 * (x + 1.5)) * waves, 0.0)
+    return GridState(grid, ENVELOPES[envelope](0.5 * (x - grid.x_min)) * waves, 0.0)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -765,6 +834,24 @@ def test_moment_p_matches_reference_kernel(n, envelope, hbar, monkeypatch):
             want = _outcome(ref_moment_p, st, order, hbar=hbar)
             scale = 1.0 if isinstance(p2, tuple) else p2 ** (order / 2)
             _assert_same_outcome(_outcome(moment_p, st, order, hbar=hbar), want, scale)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 101, 2 * _BLOCK + 9])
+def test_wall_terms_match_the_reference_kernels(n, monkeypatch):
+    # on a grid ending at x = 0 the odd orders of moment_x and order 1 of
+    # moment_p subtract Simpson's two wall terms, which the references fit
+    st = _kernel_state(n, seed=n, x_max=0.0)
+    assert st.grid.x_max == 0.0
+    norm = ref_moment_x(st, 0)
+    for order in (1, 3):
+        _assert_same_outcome(_outcome(moment_x, st, order), _outcome(ref_moment_x, st, order), norm * 2.0**order)
+    strict = oracle.STENCIL_RTOL
+    monkeypatch.setattr(oracle, "STENCIL_RTOL", 1e3)
+    p2 = _outcome(ref_moment_p, st, 2, hbar=0.7)
+    scale = 1.0 if isinstance(p2, tuple) else math.sqrt(p2)
+    for rtol in (strict, 1e3):
+        monkeypatch.setattr(oracle, "STENCIL_RTOL", rtol)
+        _assert_same_outcome(_outcome(moment_p, st, 1, hbar=0.7), _outcome(ref_moment_p, st, 1, hbar=0.7), scale)
 
 
 @pytest.mark.parametrize("n", KERNEL_SIZES)

@@ -38,3 +38,19 @@ def test_passed_is_stored_as_a_python_bool(monkeypatch):
     monkeypatch.setattr(validation, "_CRITERIA", criteria)
     (result,) = run_all(criteria=["C01"])
     assert type(result.passed) is bool and result.passed
+
+
+def test_propagator_grids_have_fast_sine_transform_lengths():
+    # C11's hand grids take the least odd count n whose n - 1 has no prime factor
+    # above 7, so each of propagate's transforms is an FFT of length 2(n - 1)
+    def smooth(k):
+        for p in (2, 3, 5, 7):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    for n in range(2, 3000):
+        m = validation._smooth_odd_at_least(n)
+        assert m >= n and m % 2 == 1 and smooth(m - 1), n
+        assert not any(smooth(j - 1) for j in range(n | 1, m, 2)), n
+    assert [validation._smooth_odd_at_least(n) for n in (8597, 17195)] == [8641, 17281]
